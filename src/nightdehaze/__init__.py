@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .atmospherics import (
     GlowField,
     GlowSource,
-    ScatteringParams,
     compose_glow,
     compose_haze,
     estimate_atmospheric_light,
@@ -28,7 +27,6 @@ __all__ = [
     "LossConfig",
     "QualityReport",
     "RunArtifacts",
-    "ScatteringParams",
     "SynthesisConfig",
     "TrainSchedule",
     "build_dataset",

@@ -16,29 +16,11 @@ DEFAULT_T_MIN = 0.05
 
 
 @dataclass(frozen=True)
-class ScatteringParams:
-    """Medium parameters: haze density beta, forward scattering q, recovery floor."""
-
-    beta: float
-    q: float
-    t_min: float = DEFAULT_T_MIN
-
-    def __post_init__(self):
-        if not self.beta > 0:
-            raise ParameterError(f"beta must be > 0, got {self.beta}")
-        if not 0 < self.q < 1:
-            raise ParameterError(f"q must be in (0,1), got {self.q}")
-        if not 0 < self.t_min < 1:
-            raise ParameterError(f"t_min must be in (0,1), got {self.t_min}")
-
-
-@dataclass(frozen=True)
 class GlowSource:
-    """One active light source: pixel position, peak RGB color, attenuation q."""
+    """One active light source: pixel position, peak RGB color, falloff radius."""
 
     position: tuple  # (row, col)
     peak_color: tuple  # (r, g, b) in [0,1]
-    q: float
     radius: float = 1.0
 
 
@@ -46,7 +28,6 @@ class GlowSource:
 class GlowField:
     """Per-source streak layers plus the binary glow-region mask."""
 
-    sources: list = field(default_factory=list)
     streaks: list = field(default_factory=list)  # each H x W x 3, >= 0
     mask: np.ndarray = None  # H x W in {0, 1}
 

@@ -25,9 +25,12 @@ from .config import default_config, load_config
 from .engine import gradcheck as gc
 from .errors import NightDehazeError
 from .imageio import read_pgm, read_ppm, write_pgm, write_ppm
-from .networks import DeGlowModel, DeHazeModel, load_model, save_model
+from .networks import DEFAULT_FEATURES, DEFAULT_TAU, DeGlowModel, DeHazeModel, load_model
 from .pipeline import run_pipeline
 from .training import load_samples_from_manifest, train_deglow, train_dehaze
+
+
+SIDECAR_KEYS = {"deglowed", "transmission", "light", "t_min"}
 
 
 class StageFailure(Exception):
@@ -74,7 +77,6 @@ def build_parser():
     p.add_argument("--tau", type=int, help="override glow recurrence count")
     p.add_argument("--tile-size", type=int, help="process in tiles of this size")
     p.add_argument("--threads", type=int, default=1, help="parallel images in directory mode")
-    p.add_argument("--seed", type=int, help="unused; accepted for interface uniformity")
     p.add_argument("--dump-intermediates", action="store_true")
 
     p = sub.add_parser("recover", help="recovery stage only, from dumped intermediates")
@@ -117,10 +119,11 @@ def _cmd_train(args, kind):
     val = None
     if args.val:
         samples, val = samples[: -args.val], samples[-args.val :]
-    features = args.features or 16
+    features = DEFAULT_FEATURES if args.features is None else args.features
     rng = np.random.default_rng([schedule.seed, 1])
     if kind == "deglow":
-        model = DeGlowModel(features=features, tau=args.tau or 3).init(rng)
+        tau = DEFAULT_TAU if args.tau is None else args.tau
+        model = DeGlowModel(features=features, tau=tau).init(rng)
         result = train_deglow(model, samples, schedule, cfgs["loss"], val, args.out)
     else:
         model = DeHazeModel(features=features).init(rng)
@@ -162,7 +165,7 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
             image,
             deglow,
             dehaze,
-            tau=args.tau or (cfg.tau or None),
+            tau=args.tau if args.tau is not None else (cfg.tau or None),
             t_min=cfg.t_min,
             tile_size=args.tile_size if args.tile_size is not None else cfg.tile_size,
         )
@@ -214,8 +217,11 @@ def cmd_recover(args):
 
     try:
         blob = np.load(args.intermediates)
-    except OSError as e:
+    except (OSError, ValueError) as e:
         _fail("read-intermediates", args.intermediates, e)
+    missing = SIDECAR_KEYS - set(getattr(blob, "files", ()))
+    if missing:
+        _fail("read-intermediates", args.intermediates, f"missing {sorted(missing)}")
     radiance = recover_radiance(
         blob["deglowed"], blob["transmission"], blob["light"], float(blob["t_min"])
     )

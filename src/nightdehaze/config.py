@@ -1,11 +1,14 @@
 """Flat key=value configuration files with [sections], via configparser.
 
-Recognized sections: [synthesis], [training], [loss], [pipeline].  Every key
-is optional; missing keys keep the dataclass defaults.
+Each section fills one dataclass: [synthesis], [training], [loss],
+[pipeline].  Every key is optional; missing keys keep the dataclass defaults,
+and a given value is read as the type of its default (a tuple default as two
+comma-separated values of its element type).
 """
 
 import configparser
 import os
+from dataclasses import fields
 
 from .errors import ParameterError
 from .networks import LossConfig
@@ -13,59 +16,41 @@ from .pipeline import PipelineConfig
 from .synthesis import SynthesisConfig
 from .training import TrainSchedule
 
-
-def _pair(text, cast=float):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ParameterError(f"expected two comma-separated values, got {text!r}")
-    return (cast(parts[0]), cast(parts[1]))
-
-
-_SYNTHESIS_FIELDS = {
-    "beta_range": lambda s: _pair(s),
-    "beta_samples_per_image": int,
-    "q_range": lambda s: _pair(s),
-    "q_samples_per_image": int,
-    "light_range": lambda s: _pair(s),
-    "target_size": lambda s: _pair(s, int),
-    "use_taylor_glow": lambda s: s.lower() in ("1", "true", "yes"),
-    "sources_per_image_range": lambda s: _pair(s, int),
-    "glow_radius_range": lambda s: _pair(s),
-    "rng_seed": int,
-}
-
-_TRAINING_FIELDS = {
-    "learning_rate": float,
-    "momentum": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "max_iterations": int,
-    "plateau_patience": int,
-    "plateau_min_improvement": float,
-    "val_interval": int,
-    "checkpoint_interval": int,
-    "seed": int,
-}
-
-_LOSS_FIELDS = {"lambda1": float, "lambda2": float}
-
-_PIPELINE_FIELDS = {
-    "deglow_checkpoint": str,
-    "dehaze_checkpoint": str,
-    "tau": int,
-    "t_min": float,
-    "tile_size": int,
+SECTIONS = {
+    "synthesis": SynthesisConfig,
+    "training": TrainSchedule,
+    "loss": LossConfig,
+    "pipeline": PipelineConfig,
 }
 
 
-def _section(parser, name, fields):
-    out = {}
+def _cast(text, default):
+    # bool before int: bool is a subclass of int
+    if isinstance(default, bool):
+        return text.lower() in ("1", "true", "yes")
+    if isinstance(default, tuple):
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"expected two comma-separated values, got {text!r}")
+        return tuple(type(default[0])(p) for p in parts)
+    return type(default)(text)
+
+
+def _section(parser, name, cls):
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
     if parser.has_section(name):
-        for key, value in parser.items(name):
-            if key not in fields:
-                raise ParameterError(f"unknown key '{key}' in [{name}]")
-            out[key] = fields[key](value)
-    return out
+        for key in parser[name]:
+            if key not in defaults:
+                raise ParameterError(f"[{name}] {key}: unknown key")
+            try:
+                values[key] = _cast(parser.get(name, key), defaults[key])
+            except (ValueError, configparser.Error) as e:
+                raise ParameterError(f"[{name}] {key}: {e}") from e
+    try:
+        return cls(**values)
+    except ParameterError as e:
+        raise ParameterError(f"[{name}] {e}") from e
 
 
 def load_config(path):
@@ -73,19 +58,12 @@ def load_config(path):
     if not os.path.exists(path):
         raise ParameterError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
-    return {
-        "synthesis": SynthesisConfig(**_section(parser, "synthesis", _SYNTHESIS_FIELDS)),
-        "training": TrainSchedule(**_section(parser, "training", _TRAINING_FIELDS)),
-        "loss": LossConfig(**_section(parser, "loss", _LOSS_FIELDS)),
-        "pipeline": PipelineConfig(**_section(parser, "pipeline", _PIPELINE_FIELDS)),
-    }
+    try:
+        parser.read(path)
+    except (ValueError, configparser.Error) as e:
+        raise ParameterError(f"config {path}: {e}") from e
+    return {name: _section(parser, name, cls) for name, cls in SECTIONS.items()}
 
 
 def default_config():
-    return {
-        "synthesis": SynthesisConfig(),
-        "training": TrainSchedule(),
-        "loss": LossConfig(),
-        "pipeline": PipelineConfig(),
-    }
+    return {name: cls() for name, cls in SECTIONS.items()}

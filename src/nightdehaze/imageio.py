@@ -24,11 +24,7 @@ def write_ppm(path, image):
 
 def read_ppm(path):
     """Read a binary P6 file into an H x W x 3 float array in [0,1]."""
-    magic, (w, h), maxval, raw = _read_pnm(path)
-    if magic != b"P6":
-        raise DataError(f"{path}: expected P6, found {magic.decode('latin-1')}")
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval} for P6")
+    w, h, _, raw = _read_pnm(path, b"P6", (255,), channels=3)
     data = np.frombuffer(raw, dtype=np.uint8, count=w * h * 3)
     return data.reshape(h, w, 3).astype(np.float64) / 255.0
 
@@ -46,23 +42,20 @@ def write_pgm(path, image):
 
 
 def read_pgm(path):
-    """Read a binary P5 file into an H x W float array in [0,1]."""
-    magic, (w, h), maxval, raw = _read_pnm(path)
-    if magic != b"P5":
-        raise DataError(f"{path}: expected P5, found {magic.decode('latin-1')}")
-    if maxval == 65535:
-        data = np.frombuffer(raw, dtype=">u2", count=w * h).astype(np.float64)
-    elif maxval == 255:
-        data = np.frombuffer(raw, dtype=np.uint8, count=w * h).astype(np.float64)
-    else:
-        raise DataError(f"{path}: unsupported maxval {maxval}")
+    """Read a binary P5 file (maxval 255 or 65535) into an H x W float array in [0,1]."""
+    w, h, maxval, raw = _read_pnm(path, b"P5", (255, 65535), channels=1)
+    dtype = ">u2" if maxval == 65535 else np.uint8
+    data = np.frombuffer(raw, dtype=dtype, count=w * h).astype(np.float64)
     return data.reshape(h, w) / maxval
 
 
-def _read_pnm(path):
+def _read_pnm(path, magic, maxvals, channels):
+    """Parse and check a binary PNM header; returns (w, h, maxval, body)."""
     with open(path, "rb") as f:
         blob = f.read()
-    magic = blob[:2]
+    if blob[:2] != magic:
+        found = blob[:2].decode("latin-1")
+        raise DataError(f"{path}: expected {magic.decode()}, found {found!r}")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -78,10 +71,20 @@ def _read_pnm(path):
             pos += 1
         if start == pos:
             raise DataError(f"{path}: truncated header")
-        fields.append(int(blob[start:pos]))
+        token = blob[start:pos]
+        if not token.isdigit() or len(token) > 9:
+            value = token.decode("latin-1")
+            raise DataError(f"{path}: header value {value!r} is not an integer in 0..999999999")
+        fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
-    return magic, (w, h), maxval, blob[pos:]
+    if maxval not in maxvals:
+        raise DataError(f"{path}: unsupported maxval {maxval} for {magic.decode()}")
+    body = w * h * channels * (2 if maxval > 255 else 1)
+    if len(blob) - pos < body:
+        have = max(len(blob) - pos, 0)
+        raise DataError(f"{path}: truncated body, {have} of {body} bytes")
+    return w, h, maxval, blob[pos:]
 
 
 def bilinear_resize(image, height, width):

@@ -67,6 +67,11 @@ class Conv:
     def __call__(self, x):
         return conv2d(x, self.weight, self.bias, self.dilation)
 
+    @property
+    def radius(self):
+        """Pixels of context this layer reads on each side of an output."""
+        return (self.weight.shape[-1] // 2) * self.dilation
+
     def named(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
@@ -75,6 +80,8 @@ class ContextualDilatedBlock:
     """Entry convs + three dilated paths + fusion; optional recurrence feedback."""
 
     def __init__(self, in_channels=3, features=DEFAULT_FEATURES, feedback=True):
+        if features < 1:
+            raise ParameterError(f"features must be >= 1, got {features}")
         self.features = features
         self.entry = [Conv(in_channels, features), Conv(features, features)]
         self.paths = [
@@ -99,6 +106,15 @@ class ContextualDilatedBlock:
                 a = relu(conv(a))
             agg = a if agg is None else agg + a
         return relu(self.fuse(agg))
+
+    @property
+    def radius(self):
+        # the deepest chain: entry, the widest path, fuse.  The feedback gate
+        # reads features one step older, which reach no further back than the
+        # current image does through the entry convs.
+        entry = sum(conv.radius for conv in self.entry)
+        path = max(sum(conv.radius for conv in path) for path in self.paths)
+        return entry + path + self.fuse.radius
 
     def layers(self, prefix):
         out = {}
@@ -132,9 +148,6 @@ class _ModelBase:
         for t in self.parameters().values():
             t.zero_grad()
 
-    def param_arrays(self):
-        return {name: t.data for name, t in self.parameters().items()}
-
     def load_arrays(self, arrays):
         params = self.parameters()
         missing = set(params) - set(arrays)
@@ -158,6 +171,12 @@ class _GlowStage:
         self.head_glow = Conv(f, 2)
         self.head_streak = [Conv(f + 1, f), Conv(f, 3)]
         self.head_residual = Conv(f + 1 + 3 + 3, 3)
+
+    @property
+    def radius(self):
+        # features -> glow logits -> streak convs -> residual is the deepest chain
+        heads = [self.head_glow, *self.head_streak, self.head_residual]
+        return self.block.radius + sum(conv.radius for conv in heads)
 
     def layers(self, prefix):
         out = dict(self.block.layers(f"{prefix}block"))
@@ -196,6 +215,11 @@ class DeGlowModel(_ModelBase):
     def stage(self, t):
         return self.stages[0] if self.tied else self.stages[min(t, len(self.stages) - 1)]
 
+    def receptive_radius(self, tau=None):
+        """Input pixels on each side that one output pixel of `tau` steps reads."""
+        tau = self.tau if tau is None else tau
+        return sum(self.stage(t).radius for t in range(tau))
+
     def step(self, image, prev_features=None, t=0):
         """One recurrence: returns (residual, glow_prob, streaks, features)."""
         image = image if isinstance(image, Tensor) else Tensor(image)
@@ -221,12 +245,6 @@ class UnrollStep:
     glow_prob: Tensor
     streaks: Tensor
     restored: Tensor  # J_t = I_t - residual
-
-
-def deglow_step(image, model):
-    """Single application of the glow network: (residual, glow_prob, streaks)."""
-    residual, glow_prob, streaks, _ = model.step(image)
-    return residual, glow_prob, streaks
 
 
 def deglow_unroll(image, model, tau=None):
@@ -289,20 +307,18 @@ class DeHazeModel(_ModelBase):
         out["head"] = self.head
         return out
 
+    def receptive_radius(self):
+        """Input pixels on each side that one transmission pixel reads."""
+        return self.block.radius + self.head.radius
 
-def dehaze_forward(image, model, t_min=None):
-    """Estimate the transmission map of a (deglowed) haze image.
 
-    Returns a Tensor of sigmoid outputs for training; with t_min set,
-    returns a plain array floored at t_min for inference.
-    """
+def dehaze_forward(image, model):
+    """Estimate the transmission map of a (deglowed) haze image: a Tensor of
+    sigmoid outputs, unfloored."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     if len(image.shape) != 4 or image.shape[1] != 3:
         raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-    out = sigmoid(model.head(model.block(image)))
-    if t_min is None:
-        return out
-    return np.maximum(out.data, t_min)
+    return sigmoid(model.head(model.block(image)))
 
 
 def dehaze_loss(t_pred, t_true):

@@ -10,15 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
-from .errors import DimensionError
-from .networks import DeGlowModel, deglow_unroll, dehaze_forward
+from .errors import DimensionError, ParameterError
+from .networks import deglow_unroll, dehaze_forward
 
 STAGES = ("deglow", "dehaze", "atmospheric_light", "recover")
-
-# radius contributions of one glow recurrence / the dehaze stack, from the
-# dilation sums of the deepest conv chain (entry 2 + path 9 + fuse 1 + heads 4)
-GLOW_STEP_RADIUS = 16
-DEHAZE_RADIUS = 13
 
 
 @dataclass
@@ -28,6 +23,10 @@ class PipelineConfig:
     tau: int = 0  # 0 = model default
     t_min: float = DEFAULT_T_MIN
     tile_size: int = 0  # 0 = no tiling
+
+    def __post_init__(self):
+        if self.tile_size < 0:
+            raise ParameterError(f"tile_size must be >= 0, got {self.tile_size}")
 
 
 @dataclass
@@ -39,14 +38,10 @@ class RunArtifacts:
     timings: dict = field(default_factory=dict)
 
 
-def receptive_radius(model, tau=None):
-    if isinstance(model, DeGlowModel):
-        return GLOW_STEP_RADIUS * (model.tau if tau is None else tau)
-    return DEHAZE_RADIUS
-
-
 def apply_tiled(fn, x, tile_size, halo):
     """Apply an N,C,H,W -> N,C',H,W network in overlapping tiles."""
+    if tile_size < 0:
+        raise ParameterError(f"tile_size must be >= 0, got {tile_size}")
     n, _, h, w = x.shape
     if not tile_size or (h <= tile_size and w <= tile_size):
         return fn(x)
@@ -65,23 +60,11 @@ def apply_tiled(fn, x, tile_size, halo):
     return out
 
 
-def run_pipeline(
-    image,
-    deglow_model,
-    dehaze_model,
-    tau=None,
-    t_min=DEFAULT_T_MIN,
-    tile_size=0,
-    t_override=None,
-    light_override=None,
-):
+def run_pipeline(image, deglow_model, dehaze_model, tau=None, t_min=DEFAULT_T_MIN, tile_size=0):
     """Dehaze one H x W x 3 image; returns all intermediates plus timings.
 
     Inference runs in float64 so that an identity glow stage preserves the
     input bit-exactly; model weights stay float32.
-
-    t_override / light_override are test hooks that replace the estimated
-    transmission map or atmospheric light (the stages still run and are timed).
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
@@ -90,12 +73,11 @@ def run_pipeline(
     timings = {}
 
     start = time.perf_counter()
-    glow_halo = receptive_radius(deglow_model, tau)
     deglowed_nchw = apply_tiled(
         lambda patch: deglow_unroll(patch, deglow_model, tau)[0].data,
         nchw,
         tile_size,
-        glow_halo,
+        deglow_model.receptive_radius(tau),
     )
     deglowed = np.clip(deglowed_nchw[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
     timings["deglow"] = time.perf_counter() - start
@@ -103,20 +85,16 @@ def run_pipeline(
     start = time.perf_counter()
     deglowed_input = np.ascontiguousarray(deglowed.transpose(2, 0, 1)[None])
     t_nchw = apply_tiled(
-        lambda patch: dehaze_forward(patch, dehaze_model, t_min=t_min),
+        lambda patch: dehaze_forward(patch, dehaze_model).data,
         deglowed_input,
         tile_size,
-        DEHAZE_RADIUS,
+        dehaze_model.receptive_radius(),
     )
-    transmission = t_nchw[0, 0].astype(np.float64)
-    if t_override is not None:
-        transmission = np.asarray(t_override, dtype=np.float64)
+    transmission = np.maximum(t_nchw[0, 0], t_min).astype(np.float64)
     timings["dehaze"] = time.perf_counter() - start
 
     start = time.perf_counter()
     light = estimate_atmospheric_light(transmission, deglowed)
-    if light_override is not None:
-        light = np.asarray(light_override, dtype=np.float64)
     timings["atmospheric_light"] = time.perf_counter() - start
 
     start = time.perf_counter()

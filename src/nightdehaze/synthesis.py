@@ -91,11 +91,15 @@ def render_glow_field(size, sources, q, config):
         mask = (total_intensity > GLOW_MASK_THRESHOLD).astype(np.float64)
     else:
         mask = np.zeros((h, w))
-    return GlowField(sources=list(sources), streaks=streaks, mask=mask)
+    return GlowField(streaks=streaks, mask=mask)
 
 
 def sample_glow_sources(rng, size, q, config):
-    """Place a random number of warm-biased light sources inside the image."""
+    """Place a random number of warm-biased light sources inside the image.
+
+    The placement does not depend on q, which render_glow_field applies; the
+    argument stays so existing callers keep their signature.
+    """
     h, w = size
     lo, hi = config.sources_per_image_range
     n = int(rng.integers(lo, hi + 1))
@@ -111,7 +115,7 @@ def sample_glow_sources(rng, size, q, config):
             brightness * rng.uniform(0.4, 1.0),
         )
         radius = rng.uniform(*config.glow_radius_range)
-        sources.append(GlowSource(position=(r, c), peak_color=color, q=q, radius=radius))
+        sources.append(GlowSource(position=(r, c), peak_color=color, radius=radius))
     return sources
 
 
@@ -161,7 +165,7 @@ def procedural_scene(rng, size):
     return clean, depth
 
 
-def build_dataset(clean_depth_pairs, config, out_dir, write_files=True):
+def build_dataset(clean_depth_pairs, config, out_dir):
     """Build (pairs x beta_samples x q_samples) records and a manifest.
 
     Returns (records, manifest_path).  Each record draws from its own RNG
@@ -171,8 +175,7 @@ def build_dataset(clean_depth_pairs, config, out_dir, write_files=True):
     pairs = list(clean_depth_pairs)
     if not pairs:
         raise ParameterError("need at least one clean/depth pair")
-    if write_files:
-        os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     width, height = config.target_size
     records = []
     rec_index = 0
@@ -199,15 +202,14 @@ def build_dataset(clean_depth_pairs, config, out_dir, write_files=True):
                     "glow_mask": f"{rec_id}.mask.pgm",
                     "streak_sum": f"{rec_id}.streak.ppm",
                 }
-                if write_files:
-                    write_ppm(os.path.join(out_dir, paths["observed"]), observed)
-                    write_ppm(os.path.join(out_dir, paths["haze"]), haze)
-                    write_pgm(os.path.join(out_dir, paths["transmission"]), t)
-                    write_pgm(os.path.join(out_dir, paths["glow_mask"]), glow.mask)
-                    write_ppm(
-                        os.path.join(out_dir, paths["streak_sum"]),
-                        np.clip(glow.streak_sum(), 0.0, 1.0),
-                    )
+                write_ppm(os.path.join(out_dir, paths["observed"]), observed)
+                write_ppm(os.path.join(out_dir, paths["haze"]), haze)
+                write_pgm(os.path.join(out_dir, paths["transmission"]), t)
+                write_pgm(os.path.join(out_dir, paths["glow_mask"]), glow.mask)
+                write_ppm(
+                    os.path.join(out_dir, paths["streak_sum"]),
+                    np.clip(glow.streak_sum(), 0.0, 1.0),
+                )
                 records.append(
                     DatasetRecord(
                         id=rec_id,
@@ -219,11 +221,10 @@ def build_dataset(clean_depth_pairs, config, out_dir, write_files=True):
                     )
                 )
                 rec_index += 1
-    manifest_path = os.path.join(out_dir, "manifest.txt") if write_files else None
-    if write_files:
-        with open(manifest_path, "w") as f:
-            for rec in records:
-                f.write(format_manifest_line(rec) + "\n")
+    manifest_path = os.path.join(out_dir, "manifest.txt")
+    with open(manifest_path, "w") as f:
+        for rec in records:
+            f.write(format_manifest_line(rec) + "\n")
     return records, manifest_path
 
 

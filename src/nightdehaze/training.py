@@ -178,15 +178,13 @@ def load_samples_from_manifest(data_dir, kind):
                     glow=np.rint(read_pgm(path("glow_mask"))),
                 )
             )
-        elif kind == "dehaze":
+        else:
             samples.append(
                 sample_from_layers(
                     haze=read_ppm(path("haze")),
                     transmission=read_pgm(path("transmission")),
                 )
             )
-        else:
-            raise ParameterError(f"unknown sample kind '{kind}'")
     return samples
 
 

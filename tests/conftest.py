@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nightdehaze.metrics import SSIM_K1, SSIM_K2, SSIM_WINDOW, _check_pair, _gaussian_window
 from nightdehaze.synthesis import (
     SynthesisConfig,
     procedural_scene,
@@ -47,3 +48,31 @@ def make_training_sample(seed, size=32, config=None):
         streak=glow.streak_sum(),
         glow=glow.mask,
     )
+
+
+def ssim_reference(a, b):
+    """Direct per-window SSIM, no separable-filter shortcut (test oracle)."""
+    a, b = _check_pair(a, b, min_size=SSIM_WINDOW)
+    w1 = _gaussian_window()
+    w2 = np.outer(w1, w1)
+    c1, c2 = SSIM_K1**2, SSIM_K2**2
+    if a.ndim == 2:
+        a = a[:, :, None]
+        b = b[:, :, None]
+    k = SSIM_WINDOW
+    h, w, channels = a.shape
+    vals = []
+    for c in range(channels):
+        for y in range(h - k + 1):
+            for x in range(w - k + 1):
+                pa = a[y : y + k, x : x + k, c]
+                pb = b[y : y + k, x : x + k, c]
+                mu_a = (w2 * pa).sum()
+                mu_b = (w2 * pb).sum()
+                var_a = (w2 * pa * pa).sum() - mu_a**2
+                var_b = (w2 * pb * pb).sum() - mu_b**2
+                cov = (w2 * pa * pb).sum() - mu_a * mu_b
+                num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+                vals.append(num / den)
+    return float(np.mean(vals))

@@ -22,10 +22,10 @@ from nightdehaze.atmospherics import (
 )
 from nightdehaze.engine import ConvParams, dilated_conv2d, receptive_field_extent
 from nightdehaze.gradsuite import run_gradient_suite
-from nightdehaze.metrics import psnr, ssim, ssim_reference
+from nightdehaze.metrics import psnr, ssim
 from nightdehaze.synthesis import SynthesisConfig, build_dataset, procedural_scene
 
-from conftest import make_scene, small_config
+from conftest import make_scene, small_config, ssim_reference
 
 T_MIN = 0.05
 

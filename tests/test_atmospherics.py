@@ -3,7 +3,6 @@ import pytest
 
 from nightdehaze.atmospherics import (
     GlowField,
-    ScatteringParams,
     compose_glow,
     compose_haze,
     estimate_atmospheric_light,
@@ -82,7 +81,7 @@ def _one_source_field(shape, value, where):
     streak[where] = value
     mask = np.zeros(shape)
     mask[where] = 1.0
-    return GlowField(sources=[None], streaks=[streak], mask=mask)
+    return GlowField(streaks=[streak], mask=mask)
 
 
 class TestComposeGlow:
@@ -93,9 +92,7 @@ class TestComposeGlow:
 
     def test_zero_mask_ignores_streaks(self, rng):
         j = rng.uniform(0, 1, (6, 6, 3))
-        field = GlowField(
-            sources=[None], streaks=[np.full((6, 6, 3), 0.9)], mask=np.zeros((6, 6))
-        )
+        field = GlowField(streaks=[np.full((6, 6, 3), 0.9)], mask=np.zeros((6, 6)))
         assert np.allclose(compose_glow(j, field), j)
 
     def test_pointwise_addition_at_masked_pixel(self):
@@ -107,9 +104,7 @@ class TestComposeGlow:
 
     def test_additive_and_clamped(self, rng):
         j = rng.uniform(0.5, 1.0, (6, 6, 3))
-        field = GlowField(
-            sources=[None], streaks=[np.full((6, 6, 3), 0.9)], mask=np.ones((6, 6))
-        )
+        field = GlowField(streaks=[np.full((6, 6, 3), 0.9)], mask=np.ones((6, 6)))
         out = compose_glow(j, field)
         assert np.all(out >= j - 1e-12)
         assert out.max() <= 1.0
@@ -209,21 +204,3 @@ class TestRecoverRadiance:
         b = recover_radiance(j, t, [0.5, 0.5, 0.5])
         assert np.array_equal(a, b)
 
-
-class TestScatteringParams:
-    def test_valid_params_accepted(self):
-        p = ScatteringParams(beta=1.0, q=0.5)
-        assert p.t_min == 0.05
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(beta=0.0, q=0.5),
-            dict(beta=1.0, q=0.0),
-            dict(beta=1.0, q=1.0),
-            dict(beta=1.0, q=0.5, t_min=1.0),
-        ],
-    )
-    def test_out_of_range_rejected(self, kwargs):
-        with pytest.raises(ParameterError):
-            ScatteringParams(**kwargs)

@@ -218,3 +218,64 @@ class TestRunRecoverEval:
         (tmp_path / "t").mkdir()
         assert run_cli("eval", "--pred", str(tmp_path / "p"), "--truth", str(tmp_path / "t")) == 1
         assert "stage=" in capsys.readouterr().err
+
+
+def _write(path, content):
+    if isinstance(content, str):
+        path.write_text(content)
+    else:
+        path.write_bytes(content)
+    return str(path)
+
+
+def _sidecar_without_light(path):
+    np.savez(path, deglowed=np.zeros((4, 4, 3)), transmission=np.ones((4, 4)), t_min=np.array(0.05))
+    return str(path)
+
+
+# each row: argv built from (tmp dir, image, run flags, dataset dir)
+BAD_INPUTS = {
+    "truncated-ppm": lambda t, image, run, data: [
+        "run", _write(t / "a.ppm", b"P6\n4 4\n255\n" + bytes(10)), *run
+    ],
+    "non-numeric-ppm-header": lambda t, image, run, data: [
+        "run", _write(t / "a.ppm", b"P6\nfour 4\n255\n" + bytes(48)), *run
+    ],
+    "negative-tile-size": lambda t, image, run, data: ["run", image, *run, "--tile-size", "-4"],
+    "config-tile-size-abc": lambda t, image, run, data: [
+        "run", image, *run, "--config", _write(t / "c.cfg", "[pipeline]\ntile_size = abc\n")
+    ],
+    "config-fractional-target-size": lambda t, image, run, data: [
+        "synth", "--out", str(t / "d"),
+        "--config", _write(t / "c.cfg", "[synthesis]\ntarget_size = 32.5, 20\n"),
+    ],
+    "sidecar-without-light": lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar_without_light(t / "x.stages.npz"),
+        "--out", str(t / "r"),
+    ],
+    "run-tau-zero": lambda t, image, run, data: ["run", image, *run, "--tau", "0"],
+    "train-tau-zero": lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"), "--tau", "0"
+    ],
+    "train-features-zero": lambda t, image, run, data: [
+        "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one_with_one_error_line(case, dataset_dir, checkpoints, tmp_path):
+    run_flags = [
+        "--out", str(tmp_path / "out"),
+        "--checkpoint", f"deglow={checkpoints / 'deglow.nckp'}",
+        "--checkpoint", f"dehaze={checkpoints / 'dehaze.nckp'}",
+    ]
+    image = str(dataset_dir / "rec_000000.observed.ppm")
+    argv = BAD_INPUTS[case](tmp_path, image, run_flags, str(dataset_dir))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nightdehaze.cli", *argv], capture_output=True, text=True
+    )
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == 1, proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: stage="), proc.stderr
+    assert "Traceback" not in proc.stderr

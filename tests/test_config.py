@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from nightdehaze.config import default_config, load_config
@@ -56,3 +58,20 @@ def test_unknown_key_rejected(tmp_path):
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ParameterError):
         load_config(tmp_path / "nope.cfg")
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("[pipeline]\ntile_size = abc\n", "[pipeline] tile_size"),
+        ("[pipeline]\ntile_size = -4\n", "[pipeline] tile_size"),
+        ("[synthesis]\ntarget_size = 32.5, 20\n", "[synthesis] target_size"),
+        ("[synthesis]\nbeta_range = 0.5\n", "[synthesis] beta_range"),
+        ("[training]\nlearning_rate = %(nope)s\n", "[training] learning_rate"),
+    ],
+)
+def test_bad_value_names_section_and_key(tmp_path, text, where):
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    with pytest.raises(ParameterError, match=re.escape(where)):
+        load_config(path)

@@ -10,8 +10,9 @@ from nightdehaze.metrics import (
     format_report,
     psnr,
     ssim,
-    ssim_reference,
 )
+
+from conftest import ssim_reference
 
 
 class TestPsnr:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from nightdehaze.atmospherics import recover_radiance
-from nightdehaze.errors import DimensionError
-from nightdehaze.networks import DeGlowModel, DeHazeModel
-from nightdehaze.pipeline import STAGES, apply_tiled, receptive_radius, run_pipeline
+from nightdehaze.engine import Tensor, mul, tsum
+from nightdehaze.errors import DimensionError, ParameterError
+from nightdehaze.networks import DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
+from nightdehaze.pipeline import STAGES, PipelineConfig, apply_tiled, run_pipeline
 
 from conftest import make_scene
 
@@ -19,16 +20,23 @@ def models():
 
 class TestRunPipeline:
     def test_zero_deglow_reduces_to_atmospherics_inverse(self, rng):
-        observed, _, t, _, _, _ = make_scene(1)
+        observed, *_ = make_scene(1)
         deglow = DeGlowModel(features=4, tau=2)  # all-zero weights: identity
-        dehaze = DeHazeModel(features=4)
-        light = np.array([0.7, 0.7, 0.7])
-        art = run_pipeline(
-            observed, deglow, dehaze, t_override=t, light_override=light
-        )
-        expected = recover_radiance(observed, t, light, t_min=0.05)
-        assert np.array_equal(art.radiance, expected)
+        dehaze = DeHazeModel(features=4)  # all-zero weights: t = sigmoid(0)
+        art = run_pipeline(observed, deglow, dehaze)
         assert np.array_equal(art.deglowed, observed)
+        assert np.all(art.transmission == 0.5)
+        expected = recover_radiance(observed, art.transmission, art.light)
+        assert np.array_equal(art.radiance, expected)
+
+    def test_transmission_floored_at_t_min(self, rng):
+        observed, *_ = make_scene(7)
+        deglow = DeGlowModel(features=4, tau=1)
+        dehaze = DeHazeModel(features=4).init(rng, std=0.3)
+        art = run_pipeline(observed, deglow, dehaze, t_min=0.4)
+        raw = dehaze_forward(observed.transpose(2, 0, 1)[None], dehaze).data[0, 0]
+        assert raw.min() < 0.4 < raw.max()
+        assert np.array_equal(art.transmission, np.maximum(raw, 0.4))
 
     def test_four_timed_stages(self, models, rng):
         observed, *_ = make_scene(2)
@@ -72,6 +80,13 @@ class TestRunPipeline:
         with pytest.raises(DimensionError):
             run_pipeline(rng.uniform(0, 1, (8, 8)), *models)
 
+    def test_negative_tile_size_rejected(self, models):
+        observed, *_ = make_scene(8)
+        with pytest.raises(ParameterError):
+            run_pipeline(observed, *models, tile_size=-4)
+        with pytest.raises(ParameterError):
+            PipelineConfig(tile_size=-4)
+
 
 class TestApplyTiled:
     def test_small_image_bypasses_tiling(self, rng):
@@ -107,5 +122,47 @@ class TestApplyTiled:
 
     def test_receptive_radius_scales_with_tau(self):
         deglow = DeGlowModel(features=4, tau=2)
-        assert receptive_radius(deglow, tau=4) == 2 * receptive_radius(deglow, tau=2)
-        assert receptive_radius(DeHazeModel(features=4)) > 0
+        assert deglow.receptive_radius(4) == 2 * deglow.receptive_radius(2)
+        assert deglow.receptive_radius() == deglow.receptive_radius(2)
+        assert DeHazeModel(features=4).receptive_radius() > 0
+
+
+def _open_relus(model, rng):
+    # positive weights and biases keep every ReLU open, so no path from the
+    # impulse dies in a dead unit; weights near 1 / fan-in keep activations
+    # O(1), so the sigmoid heads do not saturate; a negative residual head
+    # keeps each restored image J_t = I_t - residual positive
+    for name, t in model.parameters().items():
+        if name.endswith(".bias"):
+            t.data = np.full(t.shape, 0.1, dtype=np.float32)
+            continue
+        sign = -1.0 if name.startswith("head_residual") else 1.0
+        fan_in = np.prod(t.shape[1:])
+        t.data = (sign * rng.uniform(0.5, 1.5, t.shape) / fan_in).astype(np.float32)
+    return model
+
+
+def _impulse_radius(fn, size=81):
+    # farthest input pixel on which the centre output pixel depends
+    x = Tensor(np.full((1, 3, size, size), 0.5), requires_grad=True)
+    out = fn(x)
+    cotangent = np.zeros(out.shape)
+    cotangent[:, :, size // 2, size // 2] = 1.0
+    tsum(mul(out, Tensor(cotangent))).backward()
+    reached = np.flatnonzero(np.any(x.grad != 0, axis=(0, 1)).any(axis=0))
+    assert reached[0] > 0 and reached[-1] < size - 1, "support reached the border"
+    assert reached[0] + reached[-1] == size - 1
+    return size // 2 - int(reached[0])
+
+
+@pytest.mark.parametrize("tau", [1, 2])
+def test_deglow_radius_matches_impulse_support(tau):
+    model = _open_relus(DeGlowModel(features=4, tau=tau), np.random.default_rng(tau))
+    measured = _impulse_radius(lambda x: deglow_unroll(x, model)[0])
+    assert measured == model.receptive_radius() == 16 * tau
+
+
+def test_dehaze_radius_matches_impulse_support():
+    model = _open_relus(DeHazeModel(features=4), np.random.default_rng(0))
+    measured = _impulse_radius(lambda x: dehaze_forward(x, model))
+    assert measured == model.receptive_radius() == 13

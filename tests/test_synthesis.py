@@ -71,7 +71,7 @@ class TestRenderGlowField:
         assert np.all(field.streak_sum() == 0)
 
     def test_center_source_radial_falloff(self):
-        src = GlowSource(position=(8, 8), peak_color=(1.0, 0.8, 0.6), q=0.5, radius=4.0)
+        src = GlowSource(position=(8, 8), peak_color=(1.0, 0.8, 0.6), radius=4.0)
         field = render_glow_field((17, 17), [src], 0.5, small_config())
         streak = field.streaks[0]
         assert np.allclose(streak[8, 8], [1.0, 0.8, 0.6])
@@ -83,8 +83,8 @@ class TestRenderGlowField:
 
     def test_mask_set_at_bright_source_positions(self):
         srcs = [
-            GlowSource(position=(3, 3), peak_color=(0.9, 0.9, 0.9), q=0.5, radius=2.0),
-            GlowSource(position=(12, 12), peak_color=(0.7, 0.6, 0.5), q=0.5, radius=2.0),
+            GlowSource(position=(3, 3), peak_color=(0.9, 0.9, 0.9), radius=2.0),
+            GlowSource(position=(12, 12), peak_color=(0.7, 0.6, 0.5), radius=2.0),
         ]
         field = render_glow_field((16, 16), srcs, 0.5, small_config())
         for src in srcs:
@@ -96,14 +96,13 @@ class TestRenderGlowField:
         src = GlowSource(
             position=(4, 4),
             peak_color=(GLOW_MASK_THRESHOLD / 2,) * 3,
-            q=0.5,
             radius=2.0,
         )
         field = render_glow_field((9, 9), [src], 0.5, small_config())
         assert np.all(field.mask == 0)
 
     def test_out_of_bounds_source_rejected(self):
-        src = GlowSource(position=(20, 2), peak_color=(1, 1, 1), q=0.5, radius=2.0)
+        src = GlowSource(position=(20, 2), peak_color=(1, 1, 1), radius=2.0)
         with pytest.raises(ParameterError):
             render_glow_field((8, 8), [src], 0.5, small_config())
 
@@ -131,7 +130,7 @@ class TestSynthesizeExample:
     def test_glow_only_adds_light(self, rng):
         clean = rng.uniform(0, 1, (16, 16, 3))
         depth = rng.uniform(0, 1, (16, 16))
-        src = GlowSource(position=(8, 8), peak_color=(0.9, 0.8, 0.7), q=0.4, radius=5.0)
+        src = GlowSource(position=(8, 8), peak_color=(0.9, 0.8, 0.7), radius=5.0)
         observed, haze, _, _ = synthesize_example(
             clean, depth, 1.0, 0.4, [0.7] * 3, [src], small_config()
         )
@@ -170,7 +169,7 @@ class TestBuildDataset:
     def test_layer_invariants(self, tmp_path):
         cfg = small_config(24, rng_seed=3)
         pairs = self._pairs(2)
-        records, _ = build_dataset(pairs, cfg, tmp_path / "d", write_files=False)
+        records, _ = build_dataset(pairs, cfg, tmp_path / "d")
         for rec in records:
             assert cfg.beta_range[0] <= rec.beta <= cfg.beta_range[1]
             assert cfg.q_range[0] <= rec.q <= cfg.q_range[1]
@@ -229,9 +228,7 @@ class TestManifest:
     def test_line_format_is_flat_key_value(self, tmp_path):
         cfg = small_config(24)
         r = np.random.default_rng(5)
-        records, _ = build_dataset(
-            [procedural_scene(r, (24, 24))], cfg, tmp_path / "d", write_files=False
-        )
+        records, _ = build_dataset([procedural_scene(r, (24, 24))], cfg, tmp_path / "d")
         line = format_manifest_line(records[0])
         assert "\n" not in line
         for token in line.split(" "):
