@@ -130,7 +130,10 @@ def recover_radiance(haze, t, light, t_min=DEFAULT_T_MIN):
     t = _check_map(t, "t")
     if haze.shape[:2] != t.shape:
         raise DimensionError(f"haze {haze.shape[:2]} and t {t.shape} differ in size")
-    light = np.asarray(light, dtype=np.float64).reshape(3)
+    light = np.asarray(light, dtype=np.float64)
+    if light.size != 3:
+        raise DimensionError(f"light must have 3 values, got shape {light.shape}")
+    light = light.reshape(3)
     tf = np.maximum(t, t_min)[:, :, None]
     out = (haze - light[None, None, :] * (1.0 - tf)) / tf
     return np.clip(out, 0.0, 1.0)

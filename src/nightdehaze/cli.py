@@ -74,7 +74,6 @@ def build_parser():
         metavar="KIND=PATH",
         help="model checkpoint, e.g. deglow=d.nckp (repeatable)",
     )
-    p.add_argument("--tau", type=int, help="override glow recurrence count")
     p.add_argument("--tile-size", type=int, help="process in tiles of this size")
     p.add_argument("--threads", type=int, default=1, help="parallel images in directory mode")
     p.add_argument("--dump-intermediates", action="store_true")
@@ -115,7 +114,10 @@ def _cmd_train(args, kind):
     manifest = os.path.join(args.data, "manifest.txt")
     if not os.path.exists(manifest):
         _fail("load-data", manifest, "manifest not found")
-    samples = load_samples_from_manifest(args.data, kind)
+    try:
+        samples = load_samples_from_manifest(args.data, kind)
+    except (OSError, NightDehazeError) as e:
+        _fail("load-data", manifest, e)
     val = None
     if args.val:
         samples, val = samples[: -args.val], samples[-args.val :]
@@ -165,7 +167,6 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
             image,
             deglow,
             dehaze,
-            tau=args.tau if args.tau is not None else (cfg.tau or None),
             t_min=cfg.t_min,
             tile_size=args.tile_size if args.tile_size is not None else cfg.tile_size,
         )
@@ -222,9 +223,14 @@ def cmd_recover(args):
     missing = SIDECAR_KEYS - set(getattr(blob, "files", ()))
     if missing:
         _fail("read-intermediates", args.intermediates, f"missing {sorted(missing)}")
-    radiance = recover_radiance(
-        blob["deglowed"], blob["transmission"], blob["light"], float(blob["t_min"])
-    )
+    try:
+        t_min = float(blob["t_min"])
+    except (TypeError, ValueError) as e:
+        _fail("read-intermediates", args.intermediates, f"t_min: {e}")
+    try:
+        radiance = recover_radiance(blob["deglowed"], blob["transmission"], blob["light"], t_min)
+    except NightDehazeError as e:
+        _fail("recover", args.intermediates, e)
     stem = os.path.basename(args.intermediates).replace(".stages.npz", "")
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{stem}.out.ppm")

@@ -184,7 +184,7 @@ def run_gradient_suite(seed=0):
     cfg = LossConfig(lambda1=0.1, lambda2=0.05)
 
     def unroll_loss():
-        _, trace = deglow_unroll(image, model, 2)
+        _, trace = deglow_unroll(image, model)
         return deglow_loss(trace, targets, cfg)
 
     results.append(("deglow_loss (tau=2 unroll)", check_model(unroll_loss, model, [image], rng)))

@@ -162,80 +162,52 @@ class _ModelBase:
         return self
 
 
-class _GlowStage:
-    """One parameter set: contextual block plus the three prediction heads."""
+class DeGlowModel(_ModelBase):
+    """Recurrent residual glow removal: one contextual block and three
+    prediction heads, shared by all `tau` recurrences."""
 
-    def __init__(self, features):
+    kind = "deglow"
+
+    def __init__(self, features=DEFAULT_FEATURES, tau=DEFAULT_TAU):
+        if tau < 1:
+            raise ParameterError(f"tau must be >= 1, got {tau}")
         f = features
+        self.features = features
+        self.tau = tau
         self.block = ContextualDilatedBlock(3, f, feedback=True)
         self.head_glow = Conv(f, 2)
         self.head_streak = [Conv(f + 1, f), Conv(f, 3)]
         self.head_residual = Conv(f + 1 + 3 + 3, 3)
 
-    @property
-    def radius(self):
+    def _layer_map(self):
+        out = dict(self.block.layers("block"))
+        out["head_glow"] = self.head_glow
+        out["head_streak0"] = self.head_streak[0]
+        out["head_streak1"] = self.head_streak[1]
+        out["head_residual"] = self.head_residual
+        return out
+
+    def receptive_radius(self):
+        """Input pixels on each side that one output pixel of the unroll reads."""
         # features -> glow logits -> streak convs -> residual is the deepest chain
         heads = [self.head_glow, *self.head_streak, self.head_residual]
-        return self.block.radius + sum(conv.radius for conv in heads)
+        return self.tau * (self.block.radius + sum(conv.radius for conv in heads))
 
-    def layers(self, prefix):
-        out = dict(self.block.layers(f"{prefix}block"))
-        out[f"{prefix}head_glow"] = self.head_glow
-        out[f"{prefix}head_streak0"] = self.head_streak[0]
-        out[f"{prefix}head_streak1"] = self.head_streak[1]
-        out[f"{prefix}head_residual"] = self.head_residual
-        return out
-
-
-class DeGlowModel(_ModelBase):
-    """Recurrent residual glow removal.
-
-    tied=True reuses one parameter set across all recurrences; tied=False
-    keeps an independent set per step.
-    """
-
-    kind = "deglow"
-
-    def __init__(self, features=DEFAULT_FEATURES, tau=DEFAULT_TAU, tied=True):
-        if tau < 1:
-            raise ParameterError(f"tau must be >= 1, got {tau}")
-        self.features = features
-        self.tau = tau
-        self.tied = tied
-        n_stages = 1 if tied else tau
-        self.stages = [_GlowStage(features) for _ in range(n_stages)]
-
-    def _layer_map(self):
-        out = {}
-        for i, stage in enumerate(self.stages):
-            prefix = "" if self.tied else f"step{i}."
-            out.update(stage.layers(prefix))
-        return out
-
-    def stage(self, t):
-        return self.stages[0] if self.tied else self.stages[min(t, len(self.stages) - 1)]
-
-    def receptive_radius(self, tau=None):
-        """Input pixels on each side that one output pixel of `tau` steps reads."""
-        tau = self.tau if tau is None else tau
-        return sum(self.stage(t).radius for t in range(tau))
-
-    def step(self, image, prev_features=None, t=0):
+    def step(self, image, prev_features=None):
         """One recurrence: returns (residual, glow_prob, streaks, features)."""
         image = image if isinstance(image, Tensor) else Tensor(image)
         if len(image.shape) != 4 or image.shape[1] != 3:
             raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-        stage = self.stage(t)
-        feats = stage.block(image, prev_features)
-        logits = stage.head_glow(feats)
+        feats = self.block(image, prev_features)
+        logits = self.head_glow(feats)
         probs = channel_softmax(logits)
         glow_prob, _ = split_channels(probs, [1, 1])
         s = concat_channels(feats, glow_prob)
-        for conv in stage.head_streak[:-1]:
+        for conv in self.head_streak[:-1]:
             s = relu(conv(s))
-        streaks = relu(stage.head_streak[-1](s))
+        streaks = relu(self.head_streak[-1](s))
         masked = sub(image, mul(glow_prob, streaks))
-        residual = stage.head_residual(concat_channels(feats, glow_prob, streaks, masked))
+        residual = self.head_residual(concat_channels(feats, glow_prob, streaks, masked))
         return residual, glow_prob, streaks, feats
 
 
@@ -247,19 +219,17 @@ class UnrollStep:
     restored: Tensor  # J_t = I_t - residual
 
 
-def deglow_unroll(image, model, tau=None):
-    """Iterate J_t = I_t - eps_t, feeding J_t back as the next input.
+def deglow_unroll(image, model):
+    """Iterate J_t = I_t - eps_t for the model's `tau` steps, feeding J_t back
+    as the next input.
 
     Returns (final restored image, list of per-step outputs).
     """
-    tau = model.tau if tau is None else tau
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
     current = image if isinstance(image, Tensor) else Tensor(image)
     feats = None
     trace = []
-    for t in range(tau):
-        residual, glow_prob, streaks, feats = model.step(current, feats, t)
+    for _ in range(model.tau):
+        residual, glow_prob, streaks, feats = model.step(current, feats)
         restored = sub(current, residual)
         trace.append(UnrollStep(residual, glow_prob, streaks, restored))
         current = restored
@@ -295,7 +265,6 @@ class DeHazeModel(_ModelBase):
 
     kind = "dehaze"
     tau = 1
-    tied = True
 
     def __init__(self, features=DEFAULT_FEATURES):
         self.features = features
@@ -337,7 +306,8 @@ def save_model(model, path):
     params["meta.kind"] = np.array([_META_KINDS[model.kind]], dtype=np.float32)
     params["meta.features"] = np.array([model.features], dtype=np.float32)
     params["meta.tau"] = np.array([model.tau], dtype=np.float32)
-    params["meta.tied"] = np.array([1.0 if model.tied else 0.0], dtype=np.float32)
+    # weights are always shared across recurrences; the record keeps the layout
+    params["meta.tied"] = np.array([1.0], dtype=np.float32)
     save_checkpoint(path, params)
 
 
@@ -347,11 +317,13 @@ def load_model(path):
         kind = float(arrays.pop("meta.kind")[0])
         features = int(arrays.pop("meta.features")[0])
         tau = int(arrays.pop("meta.tau")[0])
-        tied = bool(arrays.pop("meta.tied")[0])
+        tied = float(arrays.pop("meta.tied")[0])
     except KeyError as e:
         raise CheckpointError(f"{path}: missing architecture descriptor {e}") from e
+    if tied != 1.0:
+        raise CheckpointError(f"{path}: meta.tied is {tied}; only shared weights are supported")
     if kind == _META_KINDS["deglow"]:
-        model = DeGlowModel(features=features, tau=tau, tied=tied)
+        model = DeGlowModel(features=features, tau=tau)
     elif kind == _META_KINDS["dehaze"]:
         model = DeHazeModel(features=features)
     else:

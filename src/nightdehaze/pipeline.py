@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
-from .errors import DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError
 from .networks import deglow_unroll, dehaze_forward
 
 STAGES = ("deglow", "dehaze", "atmospheric_light", "recover")
@@ -20,7 +20,6 @@ STAGES = ("deglow", "dehaze", "atmospheric_light", "recover")
 class PipelineConfig:
     deglow_checkpoint: str = ""
     dehaze_checkpoint: str = ""
-    tau: int = 0  # 0 = model default
     t_min: float = DEFAULT_T_MIN
     tile_size: int = 0  # 0 = no tiling
 
@@ -60,7 +59,7 @@ def apply_tiled(fn, x, tile_size, halo):
     return out
 
 
-def run_pipeline(image, deglow_model, dehaze_model, tau=None, t_min=DEFAULT_T_MIN, tile_size=0):
+def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_size=0):
     """Dehaze one H x W x 3 image; returns all intermediates plus timings.
 
     Inference runs in float64 so that an identity glow stage preserves the
@@ -69,15 +68,17 @@ def run_pipeline(image, deglow_model, dehaze_model, tau=None, t_min=DEFAULT_T_MI
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise DimensionError(f"expected H x W x 3 image, got shape {image.shape}")
+    if not np.all(np.isfinite(image)):
+        raise DataError("image has non-finite values")
     nchw = np.ascontiguousarray(image.transpose(2, 0, 1)[None])
     timings = {}
 
     start = time.perf_counter()
     deglowed_nchw = apply_tiled(
-        lambda patch: deglow_unroll(patch, deglow_model, tau)[0].data,
+        lambda patch: deglow_unroll(patch, deglow_model)[0].data,
         nchw,
         tile_size,
-        deglow_model.receptive_radius(tau),
+        deglow_model.receptive_radius(),
     )
     deglowed = np.clip(deglowed_nchw[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
     timings["deglow"] = time.perf_counter() - start

@@ -17,6 +17,7 @@ from .errors import DataError, ParameterError
 from .imageio import bilinear_resize, write_pgm, write_ppm
 
 GLOW_MASK_THRESHOLD = 0.02
+LAYER_KEYS = ("observed", "haze", "transmission", "glow_mask", "streak_sum")
 
 
 @dataclass
@@ -231,7 +232,7 @@ def build_dataset(clean_depth_pairs, config, out_dir):
 def format_manifest_line(rec):
     """One record as flat key=value fields on a single line."""
     fields = [f"id={rec.id}"]
-    for key in ("observed", "haze", "transmission", "glow_mask", "streak_sum"):
+    for key in LAYER_KEYS:
         fields.append(f"{key}={rec.paths[key]}")
     fields.append(f"beta={rec.beta:.17g}")
     fields.append(f"q={rec.q:.17g}")
@@ -243,30 +244,39 @@ def format_manifest_line(rec):
 
 
 def parse_manifest(path):
-    """Read a manifest back into DatasetRecord objects (paths stay relative)."""
+    """Read a manifest back into DatasetRecord objects (paths stay relative).
+
+    A malformed line raises DataError naming the manifest and line number."""
     records = []
     with open(path) as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            kv = dict(item.split("=", 1) for item in line.split(" "))
-            positions = []
-            if kv.get("sources"):
-                for part in kv["sources"].split(";"):
-                    r, c = part.split(",")
-                    positions.append((int(r), int(c)))
-            records.append(
-                DatasetRecord(
+            where = f"{path} line {number}"
+            tokens = line.split(" ")
+            bad = next((token for token in tokens if "=" not in token), None)
+            if bad is not None:
+                raise DataError(f"{where}: expected key=value, got {bad!r}")
+            kv = dict(token.split("=", 1) for token in tokens)
+            for key in ("id", *LAYER_KEYS, "beta", "q", "light"):
+                if key not in kv:
+                    raise DataError(f"{where}: missing key '{key}'")
+            try:
+                positions = []
+                if kv.get("sources"):
+                    for part in kv["sources"].split(";"):
+                        r, c = part.split(",")
+                        positions.append((int(r), int(c)))
+                record = DatasetRecord(
                     id=kv["id"],
-                    paths={
-                        k: kv[k]
-                        for k in ("observed", "haze", "transmission", "glow_mask", "streak_sum")
-                    },
+                    paths={k: kv[k] for k in LAYER_KEYS},
                     beta=float(kv["beta"]),
                     q=float(kv["q"]),
                     light=tuple(float(v) for v in kv["light"].split(",")),
                     source_positions=positions,
                 )
-            )
+            except ValueError as e:
+                raise DataError(f"{where}: {e}") from e
+            records.append(record)
     return records

@@ -53,8 +53,8 @@ class TrainResult:
     checkpoints: list = field(default_factory=list)
 
 
-def deglow_batch_loss(model, batch, loss_config=None, tau=None):
-    _, trace = deglow_unroll(batch["observed"], model, tau)
+def deglow_batch_loss(model, batch, loss_config=None):
+    _, trace = deglow_unroll(batch["observed"], model)
     return deglow_loss(trace, batch, loss_config)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nightdehaze import cli
+from nightdehaze.engine import load_checkpoint, save_checkpoint
 from nightdehaze.imageio import read_ppm, write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
 
@@ -228,38 +229,91 @@ def _write(path, content):
     return str(path)
 
 
-def _sidecar_without_light(path):
-    np.savez(path, deglowed=np.zeros((4, 4, 3)), transmission=np.ones((4, 4)), t_min=np.array(0.05))
+def _sidecar(path, **overrides):
+    arrays = dict(
+        deglowed=np.zeros((4, 4, 3)),
+        transmission=np.ones((4, 4)),
+        light=np.ones(3),
+        t_min=np.array(0.05),
+    )
+    arrays.update(overrides)
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
     return str(path)
 
 
-# each row: argv built from (tmp dir, image, run flags, dataset dir)
+def _manifest_dir(path, line):
+    path.mkdir()
+    (path / "manifest.txt").write_text(line + "\n")
+    return str(path)
+
+
+def _untied_checkpoint(path):
+    save_model(DeGlowModel(features=4, tau=2), path)
+    arrays = load_checkpoint(path)
+    arrays["meta.tied"] = np.zeros(1, dtype=np.float32)
+    save_checkpoint(path, arrays)
+    return str(path)
+
+
+# each row: the stage the error line names, and argv built from
+# (tmp dir, image, run flags, dataset dir)
 BAD_INPUTS = {
-    "truncated-ppm": lambda t, image, run, data: [
+    "truncated-ppm": ("read-input", lambda t, image, run, data: [
         "run", _write(t / "a.ppm", b"P6\n4 4\n255\n" + bytes(10)), *run
-    ],
-    "non-numeric-ppm-header": lambda t, image, run, data: [
+    ]),
+    "non-numeric-ppm-header": ("read-input", lambda t, image, run, data: [
         "run", _write(t / "a.ppm", b"P6\nfour 4\n255\n" + bytes(48)), *run
-    ],
-    "negative-tile-size": lambda t, image, run, data: ["run", image, *run, "--tile-size", "-4"],
-    "config-tile-size-abc": lambda t, image, run, data: [
+    ]),
+    "negative-tile-size": ("pipeline", lambda t, image, run, data: [
+        "run", image, *run, "--tile-size", "-4"
+    ]),
+    "config-tile-size-abc": ("run", lambda t, image, run, data: [
         "run", image, *run, "--config", _write(t / "c.cfg", "[pipeline]\ntile_size = abc\n")
-    ],
-    "config-fractional-target-size": lambda t, image, run, data: [
+    ]),
+    "config-fractional-target-size": ("synth", lambda t, image, run, data: [
         "synth", "--out", str(t / "d"),
         "--config", _write(t / "c.cfg", "[synthesis]\ntarget_size = 32.5, 20\n"),
-    ],
-    "sidecar-without-light": lambda t, image, run, data: [
-        "recover", "--intermediates", _sidecar_without_light(t / "x.stages.npz"),
+    ]),
+    "sidecar-without-light": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar(t / "x.stages.npz", light=None),
         "--out", str(t / "r"),
-    ],
-    "run-tau-zero": lambda t, image, run, data: ["run", image, *run, "--tau", "0"],
-    "train-tau-zero": lambda t, image, run, data: [
+    ]),
+    "sidecar-light-two-values": ("recover", lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar(t / "x.stages.npz", light=np.ones(2)),
+        "--out", str(t / "r"),
+    ]),
+    "sidecar-transmission-wrong-size": ("recover", lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar(t / "x.stages.npz", transmission=np.ones((4, 5))),
+        "--out", str(t / "r"),
+    ]),
+    "sidecar-t-min-two-values": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar(t / "x.stages.npz", t_min=np.ones(2)),
+        "--out", str(t / "r"),
+    ]),
+    "manifest-layer-file-missing": ("load-data", lambda t, image, run, data: [
+        "train-dehaze", "--data", _manifest_dir(t / "m", " ".join([
+            "id=rec_0", "observed=o.ppm", "haze=h.ppm", "transmission=t.pgm",
+            "glow_mask=g.pgm", "streak_sum=s.ppm", "beta=1", "q=0.5", "light=1,1,1",
+        ])),
+        "--out", str(t / "o"),
+    ]),
+    "manifest-missing-layer-keys": ("load-data", lambda t, image, run, data: [
+        "train-dehaze", "--data", _manifest_dir(t / "m", "id=rec_0 beta=1"),
+        "--out", str(t / "o"),
+    ]),
+    "manifest-token-without-equals": ("load-data", lambda t, image, run, data: [
+        "train-dehaze", "--data", _manifest_dir(t / "m", "id=rec_0 observed"),
+        "--out", str(t / "o"),
+    ]),
+    "checkpoint-untied": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, "--checkpoint", f"deglow={_untied_checkpoint(t / 'u.nckp')}"
+    ]),
+    "train-tau-zero": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--tau", "0"
-    ],
-    "train-features-zero": lambda t, image, run, data: [
+    ]),
+    "train-features-zero": ("train-dehaze", lambda t, image, run, data: [
         "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"
-    ],
+    ]),
 }
 
 
@@ -271,11 +325,12 @@ def test_bad_input_exits_one_with_one_error_line(case, dataset_dir, checkpoints,
         "--checkpoint", f"dehaze={checkpoints / 'dehaze.nckp'}",
     ]
     image = str(dataset_dir / "rec_000000.observed.ppm")
-    argv = BAD_INPUTS[case](tmp_path, image, run_flags, str(dataset_dir))
+    stage, build_argv = BAD_INPUTS[case]
+    argv = build_argv(tmp_path, image, run_flags, str(dataset_dir))
     proc = subprocess.run(
         [sys.executable, "-m", "nightdehaze.cli", *argv], capture_output=True, text=True
     )
     lines = proc.stderr.splitlines()
     assert proc.returncode == 1, proc.stderr
-    assert len(lines) == 1 and lines[0].startswith("error: stage="), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith(f"error: stage={stage} "), proc.stderr
     assert "Traceback" not in proc.stderr

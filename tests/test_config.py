@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 
@@ -75,3 +76,15 @@ def test_bad_value_names_section_and_key(tmp_path, text, where):
     path.write_text(text)
     with pytest.raises(ParameterError, match=re.escape(where)):
         load_config(path)
+
+
+def test_readme_example_parses(tmp_path):
+    # the README's example config must name only keys that exist
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "readme.cfg"
+    path.write_text(blocks[0])
+    cfgs = load_config(path)
+    assert cfgs["pipeline"].deglow_checkpoint == "ckpt-deglow/ckpt_final.nckp"
+    assert cfgs["pipeline"].tile_size == 0

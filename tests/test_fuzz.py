@@ -1,14 +1,23 @@
 """Property tests: the file readers turn any byte string into a typed
-NightDehazeError or a valid result, never into another exception."""
+NightDehazeError or a valid result, never into another exception; tiled
+inference matches whole-image inference at any tile size and recurrence
+count; and radiance recovery inverts the haze blend wherever t >= t_min."""
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from nightdehaze.atmospherics import compose_haze, recover_radiance
 from nightdehaze.engine import load_checkpoint
 from nightdehaze.engine.checkpoint import MAGIC
 from nightdehaze.errors import NightDehazeError
 from nightdehaze.imageio import read_pgm, read_ppm
+from nightdehaze.networks import DeGlowModel, DeHazeModel
+from nightdehaze.pipeline import run_pipeline
+
+from conftest import make_scene, small_config
 
 
 def _prefixed(*prefixes):
@@ -50,3 +59,46 @@ def test_checkpoint_reader_raises_only_typed_errors(tmp_path, blob):
         load_checkpoint(path)
     except NightDehazeError:
         pass
+
+
+@pytest.fixture(scope="module")
+def whole_runs():
+    """Per tau in 1..3: the models, a 28x40 scene and its whole-image run."""
+    observed = make_scene(0, config=small_config(40, target_size=(40, 28)))[0]
+    runs = {}
+    for tau in (1, 2, 3):
+        rng = np.random.default_rng(tau)
+        models = (
+            DeGlowModel(features=2, tau=tau).init(rng, std=0.3),
+            DeHazeModel(features=2).init(rng, std=0.3),
+        )
+        runs[tau] = models, run_pipeline(observed, *models)
+    return observed, runs
+
+
+@settings(max_examples=20, deadline=None)
+@given(tau=st.integers(1, 3), tile_size=st.integers(4, 40))
+def test_tiled_matches_whole_image(whole_runs, tau, tile_size):
+    observed, runs = whole_runs
+    models, whole = runs[tau]
+    tiled = run_pipeline(observed, *models, tile_size=tile_size)
+    assert np.max(np.abs(tiled.deglowed - whole.deglowed)) < 1e-6
+    assert np.max(np.abs(tiled.transmission - whole.transmission)) < 1e-6
+    assert np.max(np.abs(tiled.radiance - whole.radiance)) < 1e-6
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    t_min=st.floats(0.01, 0.99),
+)
+def test_recover_inverts_compose_above_t_min(data, shape, t_min):
+    reflection = data.draw(arrays(np.float64, (*shape, 3), elements=UNIT))
+    t = data.draw(arrays(np.float64, shape, elements=st.floats(t_min, 1.0)))
+    light = data.draw(arrays(np.float64, 3, elements=UNIT))
+    recovered = recover_radiance(compose_haze(reflection, t, light), t, light, t_min)
+    assert np.max(np.abs(recovered - reflection)) < 1e-9

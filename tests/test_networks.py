@@ -66,14 +66,14 @@ class TestDeGlowUnroll:
         assert len(trace) == 3
 
     def test_single_step(self, rng, image):
-        model = DeGlowModel(features=8).init(rng, std=0.1)
-        final, trace = deglow_unroll(image, model, tau=1)
+        model = DeGlowModel(features=8, tau=1).init(rng, std=0.1)
+        final, trace = deglow_unroll(image, model)
         assert len(trace) == 1
         assert np.allclose(final.data, image.data - trace[0].residual.data)
 
     def test_scripted_constant_residual(self, image):
         class Scripted(DeGlowModel):
-            def step(self, img, prev_features=None, t=0):
+            def step(self, img, prev_features=None):
                 c = Tensor(np.full_like(img.data, 0.01))
                 zeros = Tensor(np.zeros_like(img.data))
                 half = Tensor(np.full(img.data.shape[:1] + (1,) + img.data.shape[2:], 0.5))
@@ -87,15 +87,6 @@ class TestDeGlowUnroll:
         final, trace = deglow_unroll(image, model)
         total = sum(step.residual.data for step in trace)
         assert np.max(np.abs(final.data - (image.data - total))) < 1e-6
-
-    def test_untied_model_has_per_step_parameters(self, rng, image):
-        tied = DeGlowModel(features=8, tau=2, tied=True)
-        untied = DeGlowModel(features=8, tau=2, tied=False)
-        assert len(untied.parameters()) == 2 * len(tied.parameters())
-        untied.init(rng, std=0.1)
-        final, trace = deglow_unroll(image, untied)
-        assert len(trace) == 2
-        assert final.shape == image.shape
 
 
 class TestDeGlowLoss:
@@ -217,12 +208,12 @@ class TestDeHazeLoss:
 
 class TestModelCheckpoints:
     def test_deglow_round_trip_bit_exact(self, tmp_path, rng):
-        model = DeGlowModel(features=8, tau=2, tied=False).init(rng, std=0.1)
+        model = DeGlowModel(features=8, tau=2).init(rng, std=0.1)
         path = tmp_path / "m.nckp"
         save_model(model, path)
         back = load_model(path)
         assert isinstance(back, DeGlowModel)
-        assert back.features == 8 and back.tau == 2 and back.tied is False
+        assert back.features == 8 and back.tau == 2
         for name, t in model.parameters().items():
             assert np.array_equal(back.parameters()[name].data, t.data)
 

@@ -3,7 +3,7 @@ import pytest
 
 from nightdehaze.atmospherics import recover_radiance
 from nightdehaze.engine import Tensor, mul, tsum
-from nightdehaze.errors import DimensionError, ParameterError
+from nightdehaze.errors import DataError, DimensionError, ParameterError
 from nightdehaze.networks import DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
 from nightdehaze.pipeline import STAGES, PipelineConfig, apply_tiled, run_pipeline
 
@@ -69,16 +69,16 @@ class TestRunPipeline:
         assert np.max(np.abs(tiled.radiance - whole.radiance)) < 1e-6
         assert np.max(np.abs(tiled.transmission - whole.transmission)) < 1e-6
 
-    def test_tau_override(self, models):
-        observed, *_ = make_scene(6)
-        deglow, dehaze = models
-        one = run_pipeline(observed, deglow, dehaze, tau=1)
-        two = run_pipeline(observed, deglow, dehaze, tau=2)
-        assert not np.array_equal(one.deglowed, two.deglowed)
-
     def test_bad_input_shape_rejected(self, models, rng):
         with pytest.raises(DimensionError):
             run_pipeline(rng.uniform(0, 1, (8, 8)), *models)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, models, bad):
+        observed, *_ = make_scene(6)
+        observed[3, 5, 1] = bad
+        with pytest.raises(DataError):
+            run_pipeline(observed, *models)
 
     def test_negative_tile_size_rejected(self, models):
         observed, *_ = make_scene(8)
@@ -121,9 +121,8 @@ class TestApplyTiled:
         assert np.allclose(apply_tiled(blur, x, tile_size=7, halo=2), blur(x))
 
     def test_receptive_radius_scales_with_tau(self):
-        deglow = DeGlowModel(features=4, tau=2)
-        assert deglow.receptive_radius(4) == 2 * deglow.receptive_radius(2)
-        assert deglow.receptive_radius() == deglow.receptive_radius(2)
+        four, two = DeGlowModel(features=4, tau=4), DeGlowModel(features=4, tau=2)
+        assert four.receptive_radius() == 2 * two.receptive_radius()
         assert DeHazeModel(features=4).receptive_radius() > 0
 
 

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from nightdehaze.atmospherics import GlowSource, recover_radiance
-from nightdehaze.errors import ParameterError
+from nightdehaze.errors import DataError, ParameterError
 from nightdehaze.synthesis import (
     GLOW_MASK_THRESHOLD,
     SynthesisConfig,
@@ -233,6 +235,22 @@ class TestManifest:
         assert "\n" not in line
         for token in line.split(" "):
             assert "=" in token
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("id=rec_0 beta=1", "line 2: missing key 'observed'"),
+            ("id=rec_0 observed", "line 2: expected key=value, got 'observed'"),
+        ],
+    )
+    def test_malformed_line_names_path_line_and_key(self, tmp_path, line, message):
+        cfg = small_config(24)
+        r = np.random.default_rng(5)
+        records, _ = build_dataset([procedural_scene(r, (24, 24))], cfg, tmp_path / "d")
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(format_manifest_line(records[0]) + "\n" + line + "\n")
+        with pytest.raises(DataError, match=f"{re.escape(str(manifest))} {message}"):
+            parse_manifest(manifest)
 
 
 class TestProceduralScene:
