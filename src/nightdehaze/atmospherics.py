@@ -134,6 +134,9 @@ def recover_radiance(haze, t, light, t_min=DEFAULT_T_MIN):
     if light.size != 3:
         raise DimensionError(f"light must have 3 values, got shape {light.shape}")
     light = light.reshape(3)
+    for name, values in (("haze", haze), ("t", t), ("light", light)):
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{name} contains non-finite values")
     tf = np.maximum(t, t_min)[:, :, None]
     out = (haze - light[None, None, :] * (1.0 - tf)) / tf
     return np.clip(out, 0.0, 1.0)

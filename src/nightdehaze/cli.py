@@ -59,9 +59,10 @@ def build_parser():
         p.add_argument("--data", required=True, help="dataset directory with manifest.txt")
         p.add_argument("--out", required=True, help="checkpoint output directory")
         p.add_argument("--seed", type=int, help="override training seed")
-        p.add_argument("--tau", type=int, help="recurrence count (deglow only)")
         p.add_argument("--features", type=int, help="feature channel width")
         p.add_argument("--val", type=int, default=0, help="hold out last N records for validation")
+        if name == "train-deglow":
+            p.add_argument("--tau", type=int, help="recurrence count")
 
     p = sub.add_parser("run", help="dehaze images end to end")
     p.add_argument("inputs", nargs="+", help="input .ppm files or a directory")

@@ -38,11 +38,12 @@ def _im2col(x, k, dilation):
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     else:
         xp = x
-    cols = np.empty((n, c, k, k, h * w), dtype=x.dtype)
+    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
     for ky in range(k):
         for kx in range(k):
-            patch = xp[:, :, ky * dilation : ky * dilation + h, kx * dilation : kx * dilation + w]
-            cols[:, :, ky, kx, :] = patch.reshape(n, c, h * w)
+            cols[:, :, ky, kx] = xp[
+                :, :, ky * dilation : ky * dilation + h, kx * dilation : kx * dilation + w
+            ]
     return cols.reshape(n, c * k * k, h * w)
 
 

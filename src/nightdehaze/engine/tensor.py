@@ -2,9 +2,15 @@
 
 A Tensor wraps an ndarray plus an optional gradient buffer; ops build a tape
 of parent links and backward closures, and Tensor.backward() walks the tape
-in reverse topological order.  float32 is the training dtype; the same code
-paths accept float64 for finite-difference verification.
+in reverse topological order.  Inside `no_grad()` ops record nothing, so
+intermediates are freed as soon as the next op has read them; the switch is
+per thread.  Ops compute at their operands' numpy dtype: float32 is the
+training and inference dtype, and the same code paths accept float64 for
+finite-difference verification.
 """
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -103,13 +109,44 @@ def _needs(*tensors):
     return any(t.requires_grad or t._backward is not None for t in tensors)
 
 
+class _TapeState(threading.local):
+    enabled = True
+
+
+_TAPE = _TapeState()
+
+
+@contextmanager
+def no_grad():
+    """Record no tape in this thread for the duration of the block."""
+    prev = _TAPE.enabled
+    _TAPE.enabled = False
+    try:
+        yield
+    finally:
+        _TAPE.enabled = prev
+
+
 def _make(data, parents, backward):
     out = Tensor(data)
-    if _needs(*parents):
+    if _TAPE.enabled and _needs(*parents):
         out._parents = tuple(parents)
         out._backward = backward
         out.requires_grad = True
     return out
+
+
+def astype(a, dtype):
+    """Cast to `dtype`; returns `a` itself when it already has that dtype."""
+    a = _wrap(a)
+    if a.dtype == dtype:
+        return a
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g)
+
+    return _make(a.data.astype(dtype), (a,), backward)
 
 
 def _unbroadcast(grad, shape):

@@ -16,6 +16,7 @@ import numpy as np
 from .engine import (
     INIT_STD,
     Tensor,
+    astype,
     bce,
     channel_softmax,
     concat_channels,
@@ -144,6 +145,11 @@ class _ModelBase:
             conv.init(rng, std)
         return self
 
+    @property
+    def dtype(self):
+        """The weights' dtype, at which the network computes."""
+        return self.block.entry[0].weight.dtype
+
     def zero_grad(self):
         for t in self.parameters().values():
             t.zero_grad()
@@ -223,13 +229,16 @@ def deglow_unroll(image, model):
     """Iterate J_t = I_t - eps_t for the model's `tau` steps, feeding J_t back
     as the next input.
 
+    Each step runs at the weights' dtype; J_t keeps the image's dtype, so a
+    zero residual leaves a float64 image bit-exact.
+
     Returns (final restored image, list of per-step outputs).
     """
     current = image if isinstance(image, Tensor) else Tensor(image)
     feats = None
     trace = []
     for _ in range(model.tau):
-        residual, glow_prob, streaks, feats = model.step(current, feats)
+        residual, glow_prob, streaks, feats = model.step(astype(current, model.dtype), feats)
         restored = sub(current, residual)
         trace.append(UnrollStep(residual, glow_prob, streaks, restored))
         current = restored
@@ -283,11 +292,11 @@ class DeHazeModel(_ModelBase):
 
 def dehaze_forward(image, model):
     """Estimate the transmission map of a (deglowed) haze image: a Tensor of
-    sigmoid outputs, unfloored."""
+    sigmoid outputs at the weights' dtype, unfloored."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     if len(image.shape) != 4 or image.shape[1] != 3:
         raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-    return sigmoid(model.head(model.block(image)))
+    return sigmoid(model.head(model.block(astype(image, model.dtype))))
 
 
 def dehaze_loss(t_pred, t_true):

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
+from .engine import no_grad
 from .errors import DataError, DimensionError, ParameterError
 from .networks import deglow_unroll, dehaze_forward
 
@@ -62,8 +63,10 @@ def apply_tiled(fn, x, tile_size, halo):
 def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_size=0):
     """Dehaze one H x W x 3 image; returns all intermediates plus timings.
 
-    Inference runs in float64 so that an identity glow stage preserves the
-    input bit-exactly; model weights stay float32.
+    Both networks run at their weights' dtype (float32 for a loaded
+    checkpoint) and record no autodiff tape.  The image, the residual
+    subtraction J_t = I_t - eps_t, atmospheric light and recovery stay
+    float64, so an identity glow stage preserves the input bit-exactly.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
@@ -74,23 +77,25 @@ def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_si
     timings = {}
 
     start = time.perf_counter()
-    deglowed_nchw = apply_tiled(
-        lambda patch: deglow_unroll(patch, deglow_model)[0].data,
-        nchw,
-        tile_size,
-        deglow_model.receptive_radius(),
-    )
+    with no_grad():
+        deglowed_nchw = apply_tiled(
+            lambda patch: deglow_unroll(patch, deglow_model)[0].data,
+            nchw,
+            tile_size,
+            deglow_model.receptive_radius(),
+        )
     deglowed = np.clip(deglowed_nchw[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
     timings["deglow"] = time.perf_counter() - start
 
     start = time.perf_counter()
     deglowed_input = np.ascontiguousarray(deglowed.transpose(2, 0, 1)[None])
-    t_nchw = apply_tiled(
-        lambda patch: dehaze_forward(patch, dehaze_model).data,
-        deglowed_input,
-        tile_size,
-        dehaze_model.receptive_radius(),
-    )
+    with no_grad():
+        t_nchw = apply_tiled(
+            lambda patch: dehaze_forward(patch, dehaze_model).data,
+            deglowed_input,
+            tile_size,
+            dehaze_model.receptive_radius(),
+        )
     transmission = np.maximum(t_nchw[0, 0], t_min).astype(np.float64)
     timings["dehaze"] = time.perf_counter() - start
 

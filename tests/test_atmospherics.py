@@ -197,6 +197,14 @@ class TestRecoverRadiance:
         with pytest.raises(ParameterError):
             recover_radiance(np.zeros((2, 2, 3)), np.ones((2, 2)), [0, 0, 0], t_min=0.0)
 
+    @pytest.mark.parametrize("which", ["haze", "t", "light"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, which, bad):
+        args = {"haze": np.full((4, 4, 3), 0.5), "t": np.full((4, 4), 0.5), "light": np.ones(3)}
+        args[which].flat[1] = bad
+        with pytest.raises(DataError, match=which):
+            recover_radiance(args["haze"], args["t"], args["light"])
+
     def test_deterministic(self, rng):
         j = rng.uniform(0, 1, (8, 8, 3))
         t = rng.uniform(0, 1, (8, 8))

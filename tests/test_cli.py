@@ -57,12 +57,17 @@ class TestUsage:
         assert proc.returncode == 2
 
     def test_unknown_flag_exits_two(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "nightdehaze.cli", "synth", "--bogus"],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 2
+        # --tau sets the DeGlow recurrence count only, so train-dehaze has none
+        for argv in (
+            ["synth", "--bogus"],
+            ["train-dehaze", "--data", "d", "--out", "o", "--tau", "5"],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "nightdehaze.cli", *argv],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2, argv
 
 
 class TestSynth:
@@ -281,6 +286,10 @@ BAD_INPUTS = {
     "sidecar-light-two-values": ("recover", lambda t, image, run, data: [
         "recover", "--intermediates", _sidecar(t / "x.stages.npz", light=np.ones(2)),
         "--out", str(t / "r"),
+    ]),
+    "sidecar-deglowed-nan": ("recover", lambda t, image, run, data: [
+        "recover", "--intermediates",
+        _sidecar(t / "x.stages.npz", deglowed=np.full((4, 4, 3), np.nan)), "--out", str(t / "r"),
     ]),
     "sidecar-transmission-wrong-size": ("recover", lambda t, image, run, data: [
         "recover", "--intermediates", _sidecar(t / "x.stages.npz", transmission=np.ones((4, 5))),

@@ -1,22 +1,31 @@
+import threading
+
 import numpy as np
 import pytest
 
+from nightdehaze import cli
 from nightdehaze.engine import (
     ConvParams,
     OptimizerState,
     Tensor,
+    astype,
     concat_channels,
+    conv2d,
     dilated_conv2d,
     dilated_conv2d_backward,
     gaussian_init,
     load_checkpoint,
+    no_grad,
     receptive_field_extent,
     relu,
     save_checkpoint,
     sgd_step,
     split_channels,
+    tsum,
 )
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
+from nightdehaze.imageio import write_ppm
+from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
 
 
 def _identity_params(channels, dilation=1):
@@ -178,6 +187,119 @@ class TestRelu:
         x = Tensor(np.array([[-1.0, 2.0], [3.0, -4.0]]), requires_grad=True)
         relu(x).backward(np.ones((2, 2)))
         assert np.array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def _conv_case(rng):
+    x = Tensor(rng.normal(0, 1, (1, 2, 5, 5)))
+    weight = Tensor(rng.normal(0, 1, (3, 2, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(0, 1, 3), requires_grad=True)
+    return x, weight, bias
+
+
+def _weight_grad(x, weight, bias):
+    weight.zero_grad()
+    tsum(relu(conv2d(x, weight, bias))).backward()
+    return weight.grad
+
+
+class TestNoGrad:
+    def test_records_no_tape(self, rng):
+        x, weight, bias = _conv_case(rng)
+        with no_grad():
+            h = conv2d(x, weight, bias)
+            out = tsum(relu(h))
+        for t in (h, out):
+            assert t._parents == () and t._backward is None and not t.requires_grad
+        out.backward()
+        assert weight.grad is None and bias.grad is None
+
+    def test_tape_resumes_after_block(self, rng):
+        x, weight, bias = _conv_case(rng)
+        expected = _weight_grad(x, weight, bias).copy()
+        with no_grad():
+            conv2d(x, weight, bias)
+        assert np.array_equal(_weight_grad(x, weight, bias), expected)
+
+    def test_tape_resumes_after_exception(self, rng):
+        x, weight, bias = _conv_case(rng)
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError
+        assert _weight_grad(x, weight, bias) is not None
+
+    def test_other_thread_keeps_its_tape(self, rng):
+        x, weight, bias = _conv_case(rng)
+        expected = _weight_grad(x, weight, bias).copy()
+        entered, done = threading.Event(), threading.Event()
+
+        def hold():
+            with no_grad():
+                entered.set()
+                done.wait(10)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert entered.wait(10)
+            grad = _weight_grad(x, weight, bias)
+        finally:
+            done.set()
+            holder.join(10)
+        assert not holder.is_alive()
+        assert np.array_equal(grad, expected)
+
+    def test_interleaved_blocks_leave_tape_on(self, rng):
+        # A enters, B enters, A exits, B exits: a shared flag would let B
+        # restore "off" for good
+        x, weight, bias = _conv_case(rng)
+        steps = [threading.Event() for _ in range(3)]
+
+        def first():
+            with no_grad():
+                steps[0].set()
+                steps[1].wait(10)
+
+        def second():
+            steps[0].wait(10)
+            with no_grad():
+                steps[1].set()
+                steps[2].wait(10)
+
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for t in threads:
+            t.start()
+        threads[0].join(10)
+        steps[2].set()
+        threads[1].join(10)
+        assert not any(t.is_alive() for t in threads)
+        assert _weight_grad(x, weight, bias) is not None
+
+    def test_threaded_cli_run_leaves_tape_on(self, rng, tmp_path):
+        save_model(DeGlowModel(features=2, tau=1).init(rng, std=0.05), tmp_path / "g.nckp")
+        save_model(DeHazeModel(features=2).init(rng, std=0.05), tmp_path / "h.nckp")
+        images = tmp_path / "in"
+        images.mkdir()
+        for i in range(4):
+            write_ppm(images / f"img{i}.ppm", rng.uniform(0, 1, (12, 12, 3)))
+        status = cli.main([
+            "run", str(images), "--out", str(tmp_path / "out"), "--threads", "2",
+            "--checkpoint", f"deglow={tmp_path / 'g.nckp'}",
+            "--checkpoint", f"dehaze={tmp_path / 'h.nckp'}",
+        ])
+        assert status == 0
+        assert _weight_grad(*_conv_case(rng)) is not None
+
+
+class TestAstype:
+    def test_same_dtype_returns_input(self):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        assert astype(x, np.float32) is x
+
+    def test_cast_and_gradient_dtype(self, rng):
+        x = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
+        y = astype(x, np.float32)
+        assert y.dtype == np.float32 and np.array_equal(y.data, x.data.astype(np.float32))
+        tsum(y * 2.0).backward()
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 
 class TestGaussianInit:

@@ -1,10 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
 from nightdehaze.atmospherics import recover_radiance
-from nightdehaze.engine import Tensor, mul, tsum
+from nightdehaze.engine import Tensor, mul, tensor, tsum
 from nightdehaze.errors import DataError, DimensionError, ParameterError
 from nightdehaze.networks import DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
+from nightdehaze import pipeline
 from nightdehaze.pipeline import STAGES, PipelineConfig, apply_tiled, run_pipeline
 
 from conftest import make_scene
@@ -37,6 +40,46 @@ class TestRunPipeline:
         raw = dehaze_forward(observed.transpose(2, 0, 1)[None], dehaze).data[0, 0]
         assert raw.min() < 0.4 < raw.max()
         assert np.array_equal(art.transmission, np.maximum(raw, 0.4))
+
+    def test_networks_run_at_weight_dtype(self, models, monkeypatch):
+        # float64 weights are how the gradient suite runs the networks; the
+        # float32 run must agree with them and use float32 convs only
+        observed, *_ = make_scene(9)
+        wide = [copy.deepcopy(m) for m in models]
+        for model in wide:
+            for t in model.parameters().values():
+                t.data = t.data.astype(np.float64)
+        conv_dtypes = []
+
+        def spy(x, params):
+            conv_dtypes.append((x.dtype.name, params.weights.dtype.name))
+            return dilated_conv2d(x, params)
+
+        dilated_conv2d = tensor.dilated_conv2d
+        monkeypatch.setattr(tensor, "dilated_conv2d", spy)
+        narrow_art = run_pipeline(observed, *models)
+        assert conv_dtypes and set(conv_dtypes) == {("float32", "float32")}
+        conv_dtypes.clear()
+        wide_art = run_pipeline(observed, *wide)
+        assert conv_dtypes and set(conv_dtypes) == {("float64", "float64")}
+        for name in ("radiance", "transmission", "deglowed"):
+            narrow, wide_values = getattr(narrow_art, name), getattr(wide_art, name)
+            assert narrow.dtype == wide_values.dtype == np.float64
+            assert np.max(np.abs(narrow - wide_values)) < 1e-5, name
+
+    def test_networks_record_no_tape(self, models, monkeypatch):
+        outputs = []
+        for name in ("deglow_unroll", "dehaze_forward"):
+            def spy(x, model, stage=getattr(pipeline, name)):
+                out = stage(x, model)
+                outputs.append(out[0] if isinstance(out, tuple) else out)
+                return out
+
+            monkeypatch.setattr(pipeline, name, spy)
+        observed, *_ = make_scene(10)
+        run_pipeline(observed, *models)
+        assert len(outputs) == 2
+        assert all(out._parents == () and not out.requires_grad for out in outputs)
 
     def test_four_timed_stages(self, models, rng):
         observed, *_ = make_scene(2)
