@@ -43,6 +43,13 @@ def _fail(stage, file, cause):
     raise StageFailure(stage, file or "-", cause)
 
 
+def _make_out_dir(path):
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        _fail("write-output", path, e)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="nightdehaze", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -127,10 +134,17 @@ def _cmd_train(args, kind):
     if kind == "deglow":
         tau = DEFAULT_TAU if args.tau is None else args.tau
         model = DeGlowModel(features=features, tau=tau).init(rng)
-        result = train_deglow(model, samples, schedule, cfgs["loss"], val, args.out)
     else:
         model = DeHazeModel(features=features).init(rng)
-        result = train_dehaze(model, samples, schedule, val, args.out)
+    # an unwritable --out fails here, before any training time is spent
+    _make_out_dir(args.out)
+    try:
+        if kind == "deglow":
+            result = train_deglow(model, samples, schedule, cfgs["loss"], val, args.out)
+        else:
+            result = train_dehaze(model, samples, schedule, val, args.out)
+    except OSError as e:
+        _fail("write-output", e.filename or args.out, e)
     final_loss = result.loss_log[-1][1]
     print(f"trained {kind}: {len(result.loss_log)} iterations, final loss {final_loss:.6g}")
     print(f"checkpoints: {', '.join(result.checkpoints)}")
@@ -174,19 +188,22 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
     except NightDehazeError as e:
         _fail("pipeline", path, e)
     stem = os.path.splitext(os.path.basename(path))[0]
-    write_ppm(os.path.join(out_dir, f"{stem}.out.ppm"), art.radiance)
-    if args.dump_intermediates:
-        write_ppm(os.path.join(out_dir, f"{stem}.deglow.ppm"), art.deglowed)
-        write_pgm(os.path.join(out_dir, f"{stem}.trans.pgm"), art.transmission)
-        with open(os.path.join(out_dir, f"{stem}.light.txt"), "w") as f:
-            f.write(" ".join(f"{v:.17g}" for v in art.light) + "\n")
-        np.savez(
-            os.path.join(out_dir, f"{stem}.stages.npz"),
-            deglowed=art.deglowed,
-            transmission=art.transmission,
-            light=art.light,
-            t_min=np.array(cfg.t_min),
-        )
+    try:
+        write_ppm(os.path.join(out_dir, f"{stem}.out.ppm"), art.radiance)
+        if args.dump_intermediates:
+            write_ppm(os.path.join(out_dir, f"{stem}.deglow.ppm"), art.deglowed)
+            write_pgm(os.path.join(out_dir, f"{stem}.trans.pgm"), art.transmission)
+            with open(os.path.join(out_dir, f"{stem}.light.txt"), "w") as f:
+                f.write(" ".join(f"{v:.17g}" for v in art.light) + "\n")
+            np.savez(
+                os.path.join(out_dir, f"{stem}.stages.npz"),
+                deglowed=art.deglowed,
+                transmission=art.transmission,
+                light=art.light,
+                t_min=np.array(cfg.t_min),
+            )
+    except OSError as e:
+        _fail("write-output", e.filename or out_dir, e)
     timing = " ".join(f"{k}={art.timings[k]:.4f}s" for k in art.timings)
     print(f"{stem}: {timing}")
     return 0
@@ -204,7 +221,7 @@ def cmd_run(args):
     if not inputs:
         _fail("read-input", args.inputs[0], "no .ppm inputs found")
     deglow, dehaze, cfg = _load_models(args)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     if args.threads > 1 and len(inputs) > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             list(pool.map(lambda p: _run_one(p, args.out, deglow, dehaze, cfg, args), inputs))
@@ -233,9 +250,12 @@ def cmd_recover(args):
     except NightDehazeError as e:
         _fail("recover", args.intermediates, e)
     stem = os.path.basename(args.intermediates).replace(".stages.npz", "")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     out_path = os.path.join(args.out, f"{stem}.out.ppm")
-    write_ppm(out_path, radiance)
+    try:
+        write_ppm(out_path, radiance)
+    except OSError as e:
+        _fail("write-output", out_path, e)
     print(f"wrote {out_path}")
     return 0
 
@@ -267,8 +287,11 @@ def cmd_eval(args):
     report = metrics.evaluate_pairs(pairs)
     text = metrics.format_report(report)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        try:
+            with open(args.out, "w") as f:
+                f.write(text)
+        except OSError as e:
+            _fail("write-output", args.out, e)
     print(text, end="")
     return 0
 

@@ -193,11 +193,17 @@ class DeGlowModel(_ModelBase):
         out["head_residual"] = self.head_residual
         return out
 
-    def receptive_radius(self):
-        """Input pixels on each side that one output pixel of the unroll reads."""
+    @property
+    def step_radius(self):
+        """Pixels on each side that one step's outputs read of its image; the
+        previous features, entering after the entry convs, reach less far."""
         # features -> glow logits -> streak convs -> residual is the deepest chain
         heads = [self.head_glow, *self.head_streak, self.head_residual]
-        return self.tau * (self.block.radius + sum(conv.radius for conv in heads))
+        return self.block.radius + sum(conv.radius for conv in heads)
+
+    def receptive_radius(self):
+        """Input pixels on each side that one output pixel of the unroll reads."""
+        return self.tau * self.step_radius
 
     def step(self, image, prev_features=None):
         """One recurrence: returns (residual, glow_prob, streaks, features)."""
@@ -225,20 +231,23 @@ class UnrollStep:
     restored: Tensor  # J_t = I_t - residual
 
 
-def deglow_unroll(image, model):
+def deglow_unroll(image, model, step=None):
     """Iterate J_t = I_t - eps_t for the model's `tau` steps, feeding J_t back
     as the next input.
 
     Each step runs at the weights' dtype; J_t keeps the image's dtype, so a
-    zero residual leaves a float64 image bit-exact.
+    zero residual leaves a float64 image bit-exact.  `step(image,
+    prev_features)` computes one recurrence's outputs like `model.step`, its
+    default; the tiled pipeline passes one that runs `model.step` per tile.
 
     Returns (final restored image, list of per-step outputs).
     """
+    step = step or model.step
     current = image if isinstance(image, Tensor) else Tensor(image)
     feats = None
     trace = []
     for _ in range(model.tau):
-        residual, glow_prob, streaks, feats = model.step(astype(current, model.dtype), feats)
+        residual, glow_prob, streaks, feats = step(astype(current, model.dtype), feats)
         restored = sub(current, residual)
         trace.append(UnrollStep(residual, glow_prob, streaks, restored))
         current = restored

@@ -1,7 +1,8 @@
 """End-to-end inference: glow removal, transmission estimation, atmospheric
 light, radiance recovery.  Each stage is timed; large images can be processed
 in overlapping tiles whose halo covers the network receptive field, so tiled
-and whole-image outputs agree in tile interiors.
+and whole-image outputs agree in tile interiors.  DeGlow is tiled per
+recurrence step, so its halo covers one step, not the whole unroll.
 """
 
 import time
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
-from .engine import no_grad
+from .engine import Tensor, no_grad
 from .errors import DataError, DimensionError, ParameterError
 from .networks import deglow_unroll, dehaze_forward
 
@@ -38,26 +39,53 @@ class RunArtifacts:
     timings: dict = field(default_factory=dict)
 
 
-def apply_tiled(fn, x, tile_size, halo):
-    """Apply an N,C,H,W -> N,C',H,W network in overlapping tiles."""
+def apply_tiled(fn, inputs, tile_size, halo):
+    """Apply `fn(*patches)` to N,C,H,W arrays in overlapping tiles.
+
+    `inputs` is a tuple of arrays sharing H and W; a None entry reaches every
+    tile as None.  `fn` returns a tuple of N,C',H,W arrays, each stitched from
+    the tile interiors at its own channel count and dtype.  Each tile carries
+    `halo` pixels of context on every side, so the stitched outputs equal
+    `fn(*inputs)` when no output pixel reads farther than `halo`.  With
+    `tile_size` 0, or an image within one tile, this is `fn(*inputs)` itself.
+    """
     if tile_size < 0:
         raise ParameterError(f"tile_size must be >= 0, got {tile_size}")
-    n, _, h, w = x.shape
+    n, _, h, w = inputs[0].shape
     if not tile_size or (h <= tile_size and w <= tile_size):
-        return fn(x)
-    out = None
+        return fn(*inputs)
+    outs = None
     for y0 in range(0, h, tile_size):
         for x0 in range(0, w, tile_size):
             y1, x1 = min(y0 + tile_size, h), min(x0 + tile_size, w)
             ya, xa = max(0, y0 - halo), max(0, x0 - halo)
             yb, xb = min(h, y1 + halo), min(w, x1 + halo)
-            res = fn(x[:, :, ya:yb, xa:xb])
-            if out is None:
-                out = np.zeros((n, res.shape[1], h, w), dtype=res.dtype)
-            out[:, :, y0:y1, x0:x1] = res[
-                :, :, y0 - ya : y0 - ya + (y1 - y0), x0 - xa : x0 - xa + (x1 - x0)
-            ]
-    return out
+            results = fn(*(None if x is None else x[:, :, ya:yb, xa:xb] for x in inputs))
+            if outs is None:
+                outs = tuple(np.zeros((n, r.shape[1], h, w), dtype=r.dtype) for r in results)
+            for out, r in zip(outs, results):
+                out[:, :, y0:y1, x0:x1] = r[:, :, y0 - ya : y1 - ya, x0 - xa : x1 - xa]
+    return outs
+
+
+def _tiled_step(model, tile_size):
+    """`model.step` run tile by tile with a one-step halo.
+
+    One step's outputs read at most `model.step_radius` pixels of its image
+    and of the previous features, so each step is exact under that halo, and
+    the unroll recomputes no halo for the steps before it.
+    """
+
+    def step(image, prev_features):
+        outputs = apply_tiled(
+            lambda *patches: [t.data for t in model.step(*patches)],
+            (image.data, None if prev_features is None else prev_features.data),
+            tile_size,
+            model.step_radius,
+        )
+        return [Tensor(a) for a in outputs]
+
+    return step
 
 
 def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_size=0):
@@ -78,21 +106,16 @@ def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_si
 
     start = time.perf_counter()
     with no_grad():
-        deglowed_nchw = apply_tiled(
-            lambda patch: deglow_unroll(patch, deglow_model)[0].data,
-            nchw,
-            tile_size,
-            deglow_model.receptive_radius(),
-        )
-    deglowed = np.clip(deglowed_nchw[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
+        restored, _ = deglow_unroll(nchw, deglow_model, step=_tiled_step(deglow_model, tile_size))
+    deglowed = np.clip(restored.data[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
     timings["deglow"] = time.perf_counter() - start
 
     start = time.perf_counter()
     deglowed_input = np.ascontiguousarray(deglowed.transpose(2, 0, 1)[None])
     with no_grad():
-        t_nchw = apply_tiled(
-            lambda patch: dehaze_forward(patch, dehaze_model).data,
-            deglowed_input,
+        (t_nchw,) = apply_tiled(
+            lambda patch: (dehaze_forward(patch, dehaze_model).data,),
+            (deglowed_input,),
             tile_size,
             dehaze_model.receptive_radius(),
         )

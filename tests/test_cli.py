@@ -323,6 +323,19 @@ BAD_INPUTS = {
     "train-features-zero": ("train-dehaze", lambda t, image, run, data: [
         "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"
     ]),
+    # --out names an existing regular file, so no output directory can be made
+    "run-out-is-file": ("write-output", lambda t, image, run, data: [
+        "run", image, *run, "--out", _write(t / "f", "x")
+    ]),
+    "recover-out-is-file": ("write-output", lambda t, image, run, data: [
+        "recover", "--intermediates", _sidecar(t / "x.stages.npz"), "--out", _write(t / "f", "x")
+    ]),
+    "train-dehaze-out-is-file": ("write-output", lambda t, image, run, data: [
+        "train-dehaze", "--data", data, "--out", _write(t / "f", "x")
+    ]),
+    "eval-out-is-directory": ("write-output", lambda t, image, run, data: [
+        "eval", "--pred", data, "--truth", data, "--out", str(t)
+    ]),
 }
 
 

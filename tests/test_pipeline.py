@@ -70,8 +70,8 @@ class TestRunPipeline:
     def test_networks_record_no_tape(self, models, monkeypatch):
         outputs = []
         for name in ("deglow_unroll", "dehaze_forward"):
-            def spy(x, model, stage=getattr(pipeline, name)):
-                out = stage(x, model)
+            def spy(x, model, stage=getattr(pipeline, name), **kwargs):
+                out = stage(x, model, **kwargs)
                 outputs.append(out[0] if isinstance(out, tuple) else out)
                 return out
 
@@ -112,6 +112,34 @@ class TestRunPipeline:
         assert np.max(np.abs(tiled.radiance - whole.radiance)) < 1e-6
         assert np.max(np.abs(tiled.transmission - whole.transmission)) < 1e-6
 
+    def test_tiled_deglow_steps_cover_one_step_halo(self, monkeypatch):
+        # each recurrence runs per tile with a one-step halo; an unroll-wide
+        # halo (tau * step_radius) would feed each step far more pixels
+        deglow = DeGlowModel(features=4, tau=3).init(np.random.default_rng(1), std=0.05)
+        dehaze = DeHazeModel(features=4)
+        h, w, tile = 48, 64, 16
+        calls = []
+
+        def spy(model, image, prev_features=None):
+            feats_dtype = None if prev_features is None else prev_features.dtype
+            calls.append((image.shape[2] * image.shape[3], feats_dtype))
+            return step(model, image, prev_features)
+
+        step = DeGlowModel.step
+        monkeypatch.setattr(DeGlowModel, "step", spy)
+        image = np.random.default_rng(2).uniform(0, 1, (h, w, 3))
+        run_pipeline(image, deglow, dehaze, tile_size=tile)
+
+        halo = deglow.step_radius
+        rows = [min(h, y + tile + halo) - max(0, y - halo) for y in range(0, h, tile)]
+        cols = [min(w, x + tile + halo) - max(0, x - halo) for x in range(0, w, tile)]
+        tiles = [r * c for r in rows for c in cols]
+        assert len(calls) == len(tiles) * deglow.tau
+        for t in range(deglow.tau):
+            fed = calls[t * len(tiles) : (t + 1) * len(tiles)]
+            assert sum(pixels for pixels, _ in fed) == sum(tiles)
+            assert {dtype for _, dtype in fed} == {None if t == 0 else np.dtype(np.float32)}
+
     def test_bad_input_shape_rejected(self, models, rng):
         with pytest.raises(DimensionError):
             run_pipeline(rng.uniform(0, 1, (8, 8)), *models)
@@ -138,35 +166,68 @@ class TestApplyTiled:
 
         def fn(patch):
             calls.append(patch.shape)
-            return patch * 2
+            return (patch * 2,)
 
-        out = apply_tiled(fn, x, tile_size=16, halo=4)
+        (out,) = apply_tiled(fn, (x,), tile_size=16, halo=4)
         assert len(calls) == 1
         assert np.array_equal(out, x * 2)
 
     def test_pointwise_function_is_exact(self, rng):
         x = rng.normal(0, 1, (1, 2, 30, 50)).astype(np.float32)
-        out = apply_tiled(lambda p: p * 3 + 1, x, tile_size=16, halo=2)
-        assert np.allclose(out, x * 3 + 1)
+        (out,) = apply_tiled(lambda p: (p * 3 + 1,), (x,), tile_size=16, halo=2)
+        assert np.array_equal(out, x * 3 + 1)
 
     def test_halo_covers_receptive_field(self, rng):
         # a box blur of radius 2 needs halo >= 2 to match the untiled result
-        def blur(p):
-            out = np.zeros_like(p)
-            n, c, h, w = p.shape
-            pad = np.pad(p, ((0, 0), (0, 0), (2, 2), (2, 2)))
-            for dy in range(5):
-                for dx in range(5):
-                    out += pad[:, :, dy : dy + h, dx : dx + w]
-            return out / 25.0
-
         x = rng.normal(0, 1, (1, 1, 20, 20))
-        assert np.allclose(apply_tiled(blur, x, tile_size=7, halo=2), blur(x))
+        (out,) = apply_tiled(lambda p: (_blur(p),), (x,), tile_size=7, halo=2)
+        assert np.allclose(out, _blur(x))
+
+    def test_inputs_and_outputs_stitch_at_their_own_dtypes(self, rng):
+        # the DeGlow step's shape: a float64 image and float32 features in,
+        # outputs of different channel counts and dtypes out
+        image = rng.normal(0, 1, (1, 3, 30, 50))
+        feats = rng.normal(0, 1, (1, 5, 30, 50)).astype(np.float32)
+
+        def fn(a, f):
+            return _blur(a) + f[:, :1], 2 * f + _blur(f)
+
+        whole = fn(image, feats)
+        tiled = apply_tiled(fn, (image, feats), tile_size=16, halo=2)
+        assert [(t.shape, t.dtype) for t in tiled] == [
+            ((1, 3, 30, 50), np.float64),
+            ((1, 5, 30, 50), np.float32),
+        ]
+        for stitched, direct in zip(tiled, whole):
+            assert np.array_equal(stitched, direct)
+
+    def test_none_input_reaches_every_tile(self, rng):
+        x = rng.normal(0, 1, (1, 3, 20, 20))
+        seen = []
+
+        def fn(a, f):
+            seen.append(f)
+            return (a + 1,)
+
+        (out,) = apply_tiled(fn, (x, None), tile_size=8, halo=2)
+        assert len(seen) == 9 and all(f is None for f in seen)
+        assert np.array_equal(out, x + 1)
 
     def test_receptive_radius_scales_with_tau(self):
         four, two = DeGlowModel(features=4, tau=4), DeGlowModel(features=4, tau=2)
         assert four.receptive_radius() == 2 * two.receptive_radius()
         assert DeHazeModel(features=4).receptive_radius() > 0
+
+
+def _blur(p):
+    # box blur of radius 2 with zero padding
+    out = np.zeros_like(p)
+    h, w = p.shape[2:]
+    pad = np.pad(p, ((0, 0), (0, 0), (2, 2), (2, 2)))
+    for dy in range(5):
+        for dx in range(5):
+            out += pad[:, :, dy : dy + h, dx : dx + w]
+    return out / 25.0
 
 
 def _open_relus(model, rng):
@@ -184,17 +245,24 @@ def _open_relus(model, rng):
     return model
 
 
-def _impulse_radius(fn, size=81):
-    # farthest input pixel on which the centre output pixel depends
-    x = Tensor(np.full((1, 3, size, size), 0.5), requires_grad=True)
-    out = fn(x)
+def _impulse_radii(fn, channels, size=81):
+    # per input: the farthest pixel on which the centre output pixel depends
+    xs = [Tensor(np.full((1, c, size, size), 0.5), requires_grad=True) for c in channels]
+    out = fn(*xs)
     cotangent = np.zeros(out.shape)
     cotangent[:, :, size // 2, size // 2] = 1.0
     tsum(mul(out, Tensor(cotangent))).backward()
-    reached = np.flatnonzero(np.any(x.grad != 0, axis=(0, 1)).any(axis=0))
-    assert reached[0] > 0 and reached[-1] < size - 1, "support reached the border"
-    assert reached[0] + reached[-1] == size - 1
-    return size // 2 - int(reached[0])
+    radii = []
+    for x in xs:
+        reached = np.flatnonzero(np.any(x.grad != 0, axis=(0, 1)).any(axis=0))
+        assert reached[0] > 0 and reached[-1] < size - 1, "support reached the border"
+        assert reached[0] + reached[-1] == size - 1
+        radii.append(size // 2 - int(reached[0]))
+    return radii
+
+
+def _impulse_radius(fn, size=81):
+    return _impulse_radii(fn, [3], size)[0]
 
 
 @pytest.mark.parametrize("tau", [1, 2])
@@ -202,6 +270,21 @@ def test_deglow_radius_matches_impulse_support(tau):
     model = _open_relus(DeGlowModel(features=4, tau=tau), np.random.default_rng(tau))
     measured = _impulse_radius(lambda x: deglow_unroll(x, model)[0])
     assert measured == model.receptive_radius() == 16 * tau
+
+
+def test_deglow_step_radius_matches_impulse_support():
+    # the halo of a tiled step: how far one step's residual and features read
+    # of the image and of the previous step's features
+    model = _open_relus(DeGlowModel(features=4, tau=3), np.random.default_rng(3))
+    supports = {
+        name: _impulse_radii(lambda x, f: model.step(x, f)[index], [3, model.features])
+        for name, index in (("residual", 0), ("features", 3))
+    }
+    image_radii = [image for image, _ in supports.values()]
+    assert max(image_radii) == supports["residual"][0] == model.step_radius
+    assert supports["features"][0] == model.block.radius
+    assert all(feats <= model.step_radius for _, feats in supports.values())
+    assert model.receptive_radius() == model.tau * model.step_radius
 
 
 def test_dehaze_radius_matches_impulse_support():
