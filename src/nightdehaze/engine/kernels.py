@@ -31,20 +31,32 @@ class ConvParams:
             raise ParameterError(f"dilation must be >= 1, got {self.dilation}")
 
 
-def _im2col(x, k, dilation):
+# BLAS computes a trailing partial block of matmul columns with another
+# kernel, whose rounding differs from the full blocks'.  The forward pass pads
+# its column count to whole blocks, so an output pixel's float32 value does not
+# depend on the size of the image it sits in, and tiles match the whole image.
+COL_BLOCK = 64
+
+
+def _im2col(x, k, dilation, col_block=1):
+    """N x (C*k*k) x (H*W) patch columns, zero-padded to a multiple of
+    `col_block` columns."""
     n, c, h, w = x.shape
     pad = (k // 2) * dilation
     if pad:
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     else:
         xp = x
-    cols = np.empty((n, c, k, k, h, w), dtype=x.dtype)
+    hw = h * w
+    buf = np.empty((n, c * k * k, -(-hw // col_block) * col_block), dtype=x.dtype)
+    buf[:, :, hw:] = 0
+    cols = buf[:, :, :hw].reshape(n, c, k, k, h, w)
     for ky in range(k):
         for kx in range(k):
             cols[:, :, ky, kx] = xp[
                 :, :, ky * dilation : ky * dilation + h, kx * dilation : kx * dilation + w
             ]
-    return cols.reshape(n, c * k * k, h * w)
+    return buf
 
 
 def _col2im(gcols, xshape, k, dilation):
@@ -71,9 +83,9 @@ def dilated_conv2d(x, params):
     n, c, h, w = x.shape
     if c != ci:
         raise DimensionError(f"input has {c} channels, kernel expects {ci}")
-    cols = _im2col(x, k, params.dilation)
+    cols = _im2col(x, k, params.dilation, COL_BLOCK)
     wm = params.weights.reshape(o, -1)
-    out = np.matmul(wm, cols) + params.bias.astype(x.dtype)[None, :, None]
+    out = np.matmul(wm, cols)[:, :, : h * w] + params.bias.astype(x.dtype)[None, :, None]
     return out.reshape(n, o, h, w)
 
 

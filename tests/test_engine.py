@@ -80,6 +80,28 @@ class TestDilatedConv2d:
         bias_corr = 1.5 * params.bias[None, :, None, None]
         assert np.max(np.abs(lhs - (rhs - bias_corr))) < 1e-5
 
+    def test_float32_output_does_not_depend_on_image_size(self, rng):
+        # a pixel's value must be the same bits whether it is computed in the
+        # whole image or in a crop around it, or tiled inference drifts
+        x = rng.normal(0, 1, (1, 16, 23, 37)).astype(np.float32)
+        params = ConvParams(
+            weights=rng.normal(0, 0.3, (16, 16, 3, 3)).astype(np.float32),
+            bias=rng.normal(0, 1, 16).astype(np.float32),
+        )
+        h, w = x.shape[2:]
+        whole = dilated_conv2d(x, params)
+        # crops of many sizes, most touching the bottom right corner, where
+        # the last columns of the matmul lie
+        crops = [(ya, h, xa, w) for ya in (0, 5, 11, 17, 20) for xa in (0, 3, 9, 30)]
+        for ya, yb, xa, xb in crops + [(0, 23, 0, 20), (9, 23, 0, 9), (2, 21, 1, 36)]:
+            crop = dilated_conv2d(x[:, :, ya:yb, xa:xb], params)
+            # the crop's pixels whose taps all lie inside it or off the image
+            y0, y1 = ya + (ya > 0), yb - (yb < h)
+            x0, x1 = xa + (xa > 0), xb - (xb < w)
+            assert np.array_equal(
+                crop[:, :, y0 - ya : y1 - ya, x0 - xa : x1 - xa], whole[:, :, y0:y1, x0:x1]
+            )
+
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
             dilated_conv2d(rng.normal(0, 1, (1, 2, 4, 4)), _identity_params(3))
