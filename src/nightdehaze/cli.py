@@ -169,6 +169,8 @@ def _load_models(args):
             models[kind] = load_model(path)
         except NightDehazeError as e:
             _fail("load-checkpoint", path, e)
+        if models[kind].kind != kind:
+            _fail("load-checkpoint", path, f"holds a {models[kind].kind} model, not {kind}")
     return models["deglow"], models["dehaze"], cfg
 
 

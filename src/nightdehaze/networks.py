@@ -36,6 +36,9 @@ from .errors import CheckpointError, DimensionError, ParameterError
 
 DEFAULT_FEATURES = 16
 DEFAULT_TAU = 3
+# the most recurrences a DeGlow model may have: each one runs the whole block
+# over the image, and a checkpoint's meta.tau is checked against it on load
+MAX_TAU = 16
 PATH_DILATIONS = (1, 2, 3)
 CONVS_PER_PATH = 3
 
@@ -175,8 +178,8 @@ class DeGlowModel(_ModelBase):
     kind = "deglow"
 
     def __init__(self, features=DEFAULT_FEATURES, tau=DEFAULT_TAU):
-        if tau < 1:
-            raise ParameterError(f"tau must be >= 1, got {tau}")
+        if not 1 <= tau <= MAX_TAU:
+            raise ParameterError(f"tau must be in 1..{MAX_TAU}, got {tau}")
         f = features
         self.features = features
         self.tau = tau
@@ -329,17 +332,49 @@ def save_model(model, path):
     save_checkpoint(path, params)
 
 
+def _meta_value(arrays, name, path):
+    if name not in arrays:
+        raise CheckpointError(f"{path}: missing architecture descriptor '{name}'")
+    record = arrays.pop(name)
+    if record.size != 1:
+        raise CheckpointError(f"{path}: {name} holds {record.size} values, expected 1")
+    return float(record.reshape(-1)[0])
+
+
+def _meta_count(arrays, name, path, upper):
+    value = _meta_value(arrays, name, path)
+    if not (value.is_integer() and 1 <= value <= upper):
+        raise CheckpointError(f"{path}: {name} is {value}, expected an integer in 1..{upper}")
+    return int(value)
+
+
 def load_model(path):
+    """Rebuild the model a checkpoint describes.  Its parameters must be
+    finite, and its descriptor must be consistent with them: the entry
+    convs' stored shapes are checked against meta.features before any layer
+    of that width is allocated."""
     arrays = load_checkpoint(path)
-    try:
-        kind = float(arrays.pop("meta.kind")[0])
-        features = int(arrays.pop("meta.features")[0])
-        tau = int(arrays.pop("meta.tau")[0])
-        tied = float(arrays.pop("meta.tied")[0])
-    except KeyError as e:
-        raise CheckpointError(f"{path}: missing architecture descriptor {e}") from e
+    kind = _meta_value(arrays, "meta.kind", path)
+    features = _meta_count(arrays, "meta.features", path, np.inf)
+    tau = _meta_count(arrays, "meta.tau", path, MAX_TAU)
+    tied = _meta_value(arrays, "meta.tied", path)
     if tied != 1.0:
         raise CheckpointError(f"{path}: meta.tied is {tied}; only shared weights are supported")
+    for name, data in arrays.items():
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: parameter {name} holds a non-finite value")
+    # the entry pair is (F, 3, 3, 3) then (F, F, 3, 3) in both models, so a
+    # model of the stated width is never larger than a constant times the file
+    entry = {
+        "block.entry0.weight": (features, 3, 3, 3),
+        "block.entry1.weight": (features, features, 3, 3),
+    }
+    for name, shape in entry.items():
+        stored = arrays[name].shape if name in arrays else "missing"
+        if stored != shape:
+            raise CheckpointError(
+                f"{path}: meta.features {features} needs {name} of shape {shape}, got {stored}"
+            )
     if kind == _META_KINDS["deglow"]:
         model = DeGlowModel(features=features, tau=tau)
     elif kind == _META_KINDS["dehaze"]:

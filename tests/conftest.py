@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nightdehaze.engine.kernels import COL_BLOCK
 from nightdehaze.metrics import SSIM_K1, SSIM_K2, SSIM_WINDOW, _check_pair, _gaussian_window
 from nightdehaze.synthesis import (
     SynthesisConfig,
@@ -76,3 +77,21 @@ def ssim_reference(a, b):
                 den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
                 vals.append(num / den)
     return float(np.mean(vals))
+
+
+def conv_reference(x, params):
+    """Unbanded im2col convolution: one patch matrix for the whole image,
+    padded to COL_BLOCK columns, and one matmul (test oracle)."""
+    o, c, k, _ = params.weights.shape
+    n, _, h, w = x.shape
+    d = params.dilation
+    pad = (k // 2) * d
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hw = h * w
+    cols = np.zeros((n, c * k * k, -(-hw // COL_BLOCK) * COL_BLOCK), dtype=x.dtype)
+    taps = cols[:, :, :hw].reshape(n, c, k, k, h, w)
+    for ky in range(k):
+        for kx in range(k):
+            taps[:, :, ky, kx] = xp[:, :, ky * d : ky * d + h, kx * d : kx * d + w]
+    out = np.matmul(params.weights.reshape(o, -1), cols)[:, :, :hw]
+    return (out + params.bias.astype(x.dtype)[None, :, None]).reshape(n, o, h, w)

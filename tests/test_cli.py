@@ -252,12 +252,18 @@ def _manifest_dir(path, line):
     return str(path)
 
 
-def _untied_checkpoint(path):
-    save_model(DeGlowModel(features=4, tau=2), path)
+def _checkpoint(path, records=None, model=None):
+    """A small DeGlow checkpoint (or `model`'s) with some records replaced."""
+    save_model(model or DeGlowModel(features=4, tau=2), path)
     arrays = load_checkpoint(path)
-    arrays["meta.tied"] = np.zeros(1, dtype=np.float32)
+    for name, value in (records or {}).items():
+        arrays[name] = np.asarray(value, dtype=np.float32)
     save_checkpoint(path, arrays)
     return str(path)
+
+
+def _deglow_slot(t, records):
+    return ["--checkpoint", f"deglow={_checkpoint(t / 'c.nckp', records)}"]
 
 
 # each row: the stage the error line names, and argv built from
@@ -315,7 +321,29 @@ BAD_INPUTS = {
         "--out", str(t / "o"),
     ]),
     "checkpoint-untied": ("load-checkpoint", lambda t, image, run, data: [
-        "run", image, *run, "--checkpoint", f"deglow={_untied_checkpoint(t / 'u.nckp')}"
+        "run", image, *run, *_deglow_slot(t, {"meta.tied": [0.0]})
+    ]),
+    "checkpoint-wrong-kind": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run,
+        "--checkpoint", f"deglow={_checkpoint(t / 'h.nckp', model=DeHazeModel(features=4))}",
+    ]),
+    "checkpoint-nan-weight": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"head_residual.bias": [0.0, np.nan, 0.0]})
+    ]),
+    "checkpoint-fractional-tau": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"meta.tau": [2.7]})
+    ]),
+    "checkpoint-nan-tau": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"meta.tau": [np.nan]})
+    ]),
+    "checkpoint-tau-above-max": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"meta.tau": [1e9]})
+    ]),
+    "checkpoint-features-zero": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"meta.features": [0.0]})
+    ]),
+    "checkpoint-features-mismatch": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, *run, *_deglow_slot(t, {"meta.features": [8.0]})
     ]),
     "train-tau-zero": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--tau", "0"

@@ -23,9 +23,12 @@ from nightdehaze.engine import (
     split_channels,
     tsum,
 )
+from nightdehaze.engine import kernels
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.imageio import write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
+
+from conftest import conv_reference
 
 
 def _identity_params(channels, dilation=1):
@@ -102,6 +105,11 @@ class TestDilatedConv2d:
                 crop[:, :, y0 - ya : y1 - ya, x0 - xa : x1 - xa], whole[:, :, y0:y1, x0:x1]
             )
 
+    def test_float32_crops_match_whole_image_across_bands(self, rng, monkeypatch):
+        # bands of a few rows, so crops and the whole image cut them differently
+        monkeypatch.setattr(kernels, "BAND_BYTES", 3 * 16 * 9 * 4 * 37)
+        self.test_float32_output_does_not_depend_on_image_size(rng)
+
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(DimensionError):
             dilated_conv2d(rng.normal(0, 1, (1, 2, 4, 4)), _identity_params(3))
@@ -111,6 +119,43 @@ class TestDilatedConv2d:
             ConvParams(weights=np.zeros((1, 1, 5, 5)), bias=np.zeros(1))
         with pytest.raises(ParameterError):
             ConvParams(weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1), dilation=0)
+
+
+class TestBandedForward:
+    """The forward pass lowers one band of output rows at a time; every band
+    must give the bits of the unbanded oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    # 4 rows leave a band of 3 of the 23; at 1 a single row exceeds the budget
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_matches_unbanded_oracle(self, rng, monkeypatch, dtype, n, k, dilation, rows):
+        h, w = 23, 29
+        heights = []
+
+        def spy(xp, *args):
+            heights.append(xp.shape[2] - (k - 1) * dilation)
+            return im2col(xp, *args)
+
+        im2col = kernels._im2col
+        monkeypatch.setattr(kernels, "_im2col", spy)
+        for c in (3, 16, 23):
+            row_bytes = n * c * k * k * np.dtype(dtype).itemsize * w
+            budget = rows * row_bytes + row_bytes // 2 if rows > 1 else row_bytes - 1
+            monkeypatch.setattr(kernels, "BAND_BYTES", budget)
+            x = rng.normal(0, 1, (n, c, h, w)).astype(dtype)
+            for o in (1, 3, 16):
+                params = ConvParams(
+                    weights=rng.normal(0, 0.3, (o, c, k, k)).astype(dtype),
+                    bias=rng.normal(0, 1, o).astype(dtype),
+                    dilation=dilation,
+                )
+                heights.clear()
+                out = dilated_conv2d(x, params)
+                assert heights == [rows] * (h // rows) + [h % rows] * (h % rows > 0)
+                expected = conv_reference(x, params)
+                assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
 
 class TestDilatedConv2dBackward:

@@ -1,5 +1,6 @@
 """Property tests: the file readers turn any byte string into a typed
-NightDehazeError or a valid result, never into another exception; tiled
+NightDehazeError or a valid result, never into another exception; a model
+loads from a well-formed checkpoint only when its values are valid; tiled
 inference matches whole-image inference at any tile size and recurrence
 count; and radiance recovery inverts the haze blend wherever t >= t_min."""
 
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nightdehaze.atmospherics import compose_haze, recover_radiance
-from nightdehaze.engine import load_checkpoint
+from nightdehaze.engine import load_checkpoint, save_checkpoint
 from nightdehaze.engine.checkpoint import MAGIC
 from nightdehaze.errors import NightDehazeError
 from nightdehaze.imageio import read_pgm, read_ppm
-from nightdehaze.networks import DeGlowModel, DeHazeModel
+from nightdehaze.networks import DeGlowModel, DeHazeModel, load_model
 from nightdehaze.pipeline import run_pipeline
 
 from conftest import make_scene, small_config
@@ -59,6 +60,37 @@ def test_checkpoint_reader_raises_only_typed_errors(tmp_path, blob):
         load_checkpoint(path)
     except NightDehazeError:
         pass
+
+
+FLOAT32 = st.floats(width=32)
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data(), kind=st.sampled_from(["deglow", "dehaze"]), features=st.integers(1, 2))
+def test_load_model_rejects_or_returns_finite_weights(tmp_path, data, kind, features):
+    # well-formed NCKP records of a real layout, with arbitrary values: each
+    # descriptor is either the one the layout was built with or any float
+    model = DeGlowModel(features, tau=2) if kind == "deglow" else DeHazeModel(features)
+    records = {
+        name: data.draw(arrays(np.float32, t.shape, elements=FLOAT32), label=name)
+        for name, t in model.parameters().items()
+    }
+    valid = {
+        "meta.kind": kind == "dehaze",
+        "meta.features": features,
+        "meta.tau": 2,
+        "meta.tied": 1,
+    }
+    for name, value in valid.items():
+        drawn = data.draw(st.one_of(st.just(float(value)), FLOAT32), label=name)
+        records[name] = np.array([drawn], dtype=np.float32)
+    path = tmp_path / "m.nckp"
+    save_checkpoint(path, records)
+    try:
+        loaded = load_model(path)
+    except NightDehazeError:
+        return
+    assert all(np.isfinite(t.data).all() for t in loaded.parameters().values())
 
 
 @pytest.fixture(scope="module")

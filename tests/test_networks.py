@@ -4,6 +4,7 @@ import pytest
 from nightdehaze.engine import Tensor
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.networks import (
+    MAX_TAU,
     DeGlowModel,
     DeHazeModel,
     LossConfig,
@@ -54,8 +55,9 @@ class TestDeGlowStep:
             model.step(Tensor(rng.uniform(0, 1, (1, 4, 8, 8))))
 
     def test_invalid_tau_rejected(self):
-        with pytest.raises(ParameterError):
-            DeGlowModel(tau=0)
+        for tau in (0, MAX_TAU + 1):
+            with pytest.raises(ParameterError):
+                DeGlowModel(tau=tau)
 
 
 class TestDeGlowUnroll:

@@ -105,12 +105,20 @@ class TestRunPipeline:
         assert np.array_equal(a.transmission, b.transmission)
         assert np.array_equal(a.light, b.light)
 
-    def test_tiled_matches_whole_image(self, models):
+    def test_tiled_matches_whole_image(self):
+        # every conv pads its matmul to whole column blocks, so tiles give the
+        # whole image's bits; these models' weights move the pixels at a tile's
+        # edge, so a halo one pixel short changes them
+        rng = np.random.default_rng(3)
+        models = (
+            DeGlowModel(features=2, tau=2).init(rng, std=0.3),
+            DeHazeModel(features=2).init(rng, std=0.3),
+        )
         observed, *_ = make_scene(5, size=48)
         whole = run_pipeline(observed, *models)
         tiled = run_pipeline(observed, *models, tile_size=16)
-        assert np.max(np.abs(tiled.radiance - whole.radiance)) < 1e-6
-        assert np.max(np.abs(tiled.transmission - whole.transmission)) < 1e-6
+        for name in ("radiance", "transmission", "deglowed"):
+            assert np.array_equal(getattr(tiled, name), getattr(whole, name)), name
 
     def test_tiled_deglow_steps_cover_one_step_halo(self, monkeypatch):
         # each recurrence runs per tile with a one-step halo; an unroll-wide
