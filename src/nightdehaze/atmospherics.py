@@ -112,6 +112,9 @@ def estimate_atmospheric_light(t, haze):
     n_pixels = t.size
     if n_pixels == 0:
         raise DimensionError("empty image")
+    for name, values in (("t", t), ("haze", haze)):
+        if not np.all(np.isfinite(values)):
+            raise DataError(f"{name} contains non-finite values")
     k = max(1, int(np.floor(0.001 * n_pixels)))
     order = np.argsort(t.reshape(-1), kind="stable")
     candidates = order[:k]

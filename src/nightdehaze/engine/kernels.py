@@ -8,7 +8,10 @@ The forward pass lowers its input to patch columns one band of output rows
 at a time, so the patch matrix it multiplies stays in cache instead of
 growing to 9*C*H*W values; a band's pixels go through the same matmul
 kernels in the same K order as a whole image's, so the output bytes do not
-depend on the band height.  The backward pass lowers the whole image at once.
+depend on the band height.  The backward pass works one image at a time:
+grad-weights from that image's patch columns, and grad-input from columns
+laid on the padded-width grid, which scatter back as one contiguous slice
+add per tap.  Both give the same bytes as lowering the whole batch at once.
 """
 
 from dataclasses import dataclass
@@ -82,18 +85,28 @@ def _im2col(xp, k, dilation, col_block=1):
 
 
 def _col2im(gcols, xshape, k, dilation):
-    n, c, h, w = xshape
+    """Adjoint of _im2col for one C x H x W image.
+
+    `gcols` is (C*k*k) x L columns on the padded-width grid: the column of
+    output (y, x) is y*(W + 2*pad) + x, and L >= H*(W + 2*pad).  Tap
+    (ky, kx) then adds to one contiguous slice of the flattened zero-padded
+    gradient, shifted by ky*dilation rows and kx*dilation columns.  The
+    grid's junk columns (x >= W) wrap into the border or the next row, so
+    they must hold zeros: an exact +-0 added to an accumulator that started
+    at +0.0 leaves it unchanged."""
+    c, h, w = xshape
     pad = (k // 2) * dilation
-    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
-    g = gcols.reshape(n, c, k, k, h, w)
+    wp = w + 2 * pad
+    hp = h + 2 * pad
+    span = h * wp
+    # the last tap's slice ends 2*pad past the padded image
+    flat = np.zeros((c, hp * wp + 2 * pad), dtype=gcols.dtype)
+    g = gcols.reshape(c, k * k, -1)
     for ky in range(k):
         for kx in range(k):
-            gxp[:, :, ky * dilation : ky * dilation + h, kx * dilation : kx * dilation + w] += g[
-                :, :, ky, kx
-            ]
-    if pad:
-        return gxp[:, :, pad : pad + h, pad : pad + w]
-    return gxp
+            off = ky * dilation * wp + kx * dilation
+            flat[:, off : off + span] += g[:, ky * k + kx, :span]
+    return flat[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w]
 
 
 def dilated_conv2d(x, params):
@@ -125,7 +138,13 @@ def dilated_conv2d(x, params):
 
 
 def dilated_conv2d_backward(x, params, grad_out):
-    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias)."""
+    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias).
+
+    One image at a time, each with the bytes of a whole-batch lowering:
+    grad_weights sums the images' `grad @ cols.T` products in image order
+    from +0.0, as a sum over the batch axis does, with K = H*W as before;
+    grad_input's columns come from grad_out laid on the padded-width grid,
+    whose junk columns stay zero (see _col2im)."""
     x = np.asarray(x)
     grad_out = np.asarray(grad_out)
     o, ci, k, _ = params.weights.shape
@@ -134,17 +153,22 @@ def dilated_conv2d_backward(x, params, grad_out):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output {(n, o, h, w)}"
         )
-    go = grad_out.reshape(n, o, h * w)
-    pad = (k // 2) * params.dilation
-    # np.pad, not _pad: with _pad's zeroed buffer here the peak RSS of the
-    # benchmark's training pass measured 19 MB (4%) higher
-    cols = _im2col(np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))), k, params.dilation)
+    d = params.dilation
+    pad = (k // 2) * d
+    wp = w + 2 * pad
+    xp = _pad(x, pad)
+    wmt = params.weights.reshape(o, -1).T.astype(grad_out.dtype)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    grad_weights = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
-    wm = params.weights.reshape(o, -1)
-    gcols = np.matmul(wm.T.astype(grad_out.dtype), go)
-    grad_input = _col2im(gcols, x.shape, k, params.dilation)
-    return grad_input, grad_weights, grad_bias
+    grad_weights = np.zeros((o, c * k * k), dtype=np.result_type(grad_out, x))
+    grad_input = np.empty(x.shape, dtype=grad_out.dtype)
+    g_wide = np.zeros((o, -(-h * wp // COL_BLOCK) * COL_BLOCK), dtype=grad_out.dtype)
+    grid = g_wide[:, : h * wp].reshape(o, h, wp)[:, :, :w]
+    for i in range(n):
+        cols = _im2col(xp[i : i + 1], k, d)
+        grad_weights += grad_out[i].reshape(o, h * w) @ cols[0].T
+        grid[...] = grad_out[i]
+        grad_input[i] = _col2im(wmt @ g_wide, (c, h, w), k, d)
+    return grad_input, grad_weights.reshape(params.weights.shape), grad_bias
 
 
 def receptive_field_extent(num_layers, dilation):

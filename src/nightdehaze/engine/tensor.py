@@ -2,9 +2,9 @@
 
 A Tensor wraps an ndarray plus an optional gradient buffer; ops build a tape
 of parent links and backward closures, and Tensor.backward() walks the tape
-in reverse topological order.  Inside `no_grad()` ops record nothing, so
-intermediates are freed as soon as the next op has read them; the switch is
-per thread.  Ops compute at their operands' numpy dtype: float32 is the
+in reverse topological order, releasing each node as it goes.  Inside
+`no_grad()` ops record nothing, so intermediates are freed as soon as the
+next op has read them; the switch is per thread.  Ops compute at their operands' numpy dtype: float32 is the
 training and inference dtype, and the same code paths accept float64 for
 finite-difference verification.
 """
@@ -49,24 +49,40 @@ class Tensor:
             self.grad += grad
 
     def backward(self, grad=None):
+        """Accumulate d(self)/d(leaf) into the grad of every leaf of the tape.
+
+        The walk spends the graph: once a node's adjoint has run, the node
+        drops its grad, adjoint and parent links and becomes a constant, so
+        each intermediate is freed as soon as nothing upstream needs it.  A
+        second call on the same graph does nothing."""
+        if not self.requires_grad:
+            return
+        # post-order by an explicit stack: a recursive closure would be a
+        # reference cycle holding the whole tape until the cyclic GC ran
+        order = []
+        seen = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                order.append(stack.pop()[0])
         if grad is None:
             grad = np.ones_like(self.data)
-        order = []
-        seen = set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-
-        visit(self)
         self._accumulate(np.asarray(grad, dtype=self.data.dtype))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
+            node._parents = ()
+            node.requires_grad = False
 
     def __add__(self, other):
         return add(self, other)

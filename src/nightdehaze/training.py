@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import OptimizerState, check_finite, sgd_step
+from .engine import OptimizerState, check_finite, no_grad, sgd_step
 from .errors import ParameterError, TrainingDiverged
 from .imageio import read_pgm, read_ppm
 from .networks import (
@@ -110,8 +110,8 @@ def train(model, dataset, schedule, loss_fn, val_set=None, checkpoint_dir=None):
 
         if it % schedule.val_interval == 0:
             if val_batch is not None:
-                model.zero_grad()
-                vloss = loss_fn(model, val_batch)
+                with no_grad():
+                    vloss = loss_fn(model, val_batch)
                 check_finite(vloss, "validation loss")
                 vval = vloss.item()
             else:

@@ -1,4 +1,5 @@
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 import pytest
 
 from nightdehaze.engine.kernels import COL_BLOCK
@@ -95,3 +96,28 @@ def conv_reference(x, params):
             taps[:, :, ky, kx] = xp[:, :, ky * d : ky * d + h, kx * d : kx * d + w]
     out = np.matmul(params.weights.reshape(o, -1), cols)[:, :, :hw]
     return (out + params.bias.astype(x.dtype)[None, :, None]).reshape(n, o, h, w)
+
+
+def conv_backward_reference(x, params, grad_out):
+    """Whole-batch adjoints of the dilated convolution (test oracle): one
+    patch matrix for all N images, a batched grad-weights matmul summed over
+    the batch axis, and a region-wise col2im over the batch."""
+    o, c, k, _ = params.weights.shape
+    n, _, h, w = x.shape
+    d = params.dilation
+    pad = (k // 2) * d
+    go = grad_out.reshape(n, o, h * w)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((n, c * k * k, h * w), dtype=x.dtype)
+    sn, sc, sy, sx = xp.strides
+    taps = as_strided(xp, (n, c, k, k, h, w), (sn, sc, sy * d, sx * d, sy, sx))
+    cols.reshape(n, c, k, k, h, w)[...] = taps
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    grad_weights = np.matmul(go, cols.transpose(0, 2, 1)).sum(axis=0).reshape(params.weights.shape)
+    gcols = np.matmul(params.weights.reshape(o, -1).T.astype(grad_out.dtype), go)
+    gxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=gcols.dtype)
+    g = gcols.reshape(n, c, k, k, h, w)
+    for ky in range(k):
+        for kx in range(k):
+            gxp[:, :, ky * d : ky * d + h, kx * d : kx * d + w] += g[:, :, ky, kx]
+    return gxp[:, :, pad : pad + h, pad : pad + w], grad_weights, grad_bias

@@ -167,6 +167,14 @@ class TestEstimateAtmosphericLight:
             estimate_atmospheric_light(np.array([[0.3]]), np.full((1, 1, 3), 0.6)), 0.6
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["t", "haze"])
+    def test_non_finite_input_rejected(self, rng, which, bad):
+        inputs = {"t": rng.uniform(0, 1, (10, 10)), "haze": rng.uniform(0, 1, (10, 10, 3))}
+        inputs[which][4, 7] = bad
+        with pytest.raises(DataError, match=which):
+            estimate_atmospheric_light(inputs["t"], inputs["haze"])
+
 
 class TestRecoverRadiance:
     def test_exact_inverse_of_compose(self, rng):

@@ -262,6 +262,16 @@ def _checkpoint(path, records=None, model=None):
     return str(path)
 
 
+def _overflowing_checkpoint(path):
+    """A DeGlow checkpoint whose finite weights, all 1e30, overflow at run time."""
+    save_model(DeGlowModel(features=4, tau=2), path)
+    arrays = load_checkpoint(path)
+    save_checkpoint(
+        path, {k: v if k.startswith("meta.") else np.full_like(v, 1e30) for k, v in arrays.items()}
+    )
+    return str(path)
+
+
 def _deglow_slot(t, records):
     return ["--checkpoint", f"deglow={_checkpoint(t / 'c.nckp', records)}"]
 
@@ -344,6 +354,10 @@ BAD_INPUTS = {
     ]),
     "checkpoint-features-mismatch": ("load-checkpoint", lambda t, image, run, data: [
         "run", image, *run, *_deglow_slot(t, {"meta.features": [8.0]})
+    ]),
+    # load_model accepts the finite weights; the deglow stage's output is not finite
+    "checkpoint-overflowing-weights": ("pipeline", lambda t, image, run, data: [
+        "run", image, *run, "--checkpoint", f"deglow={_overflowing_checkpoint(t / 'c.nckp')}"
     ]),
     "train-tau-zero": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--tau", "0"

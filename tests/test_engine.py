@@ -1,4 +1,7 @@
+import gc
+import itertools
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from nightdehaze.engine import (
     dilated_conv2d_backward,
     gaussian_init,
     load_checkpoint,
+    mul,
     no_grad,
     receptive_field_extent,
     relu,
@@ -27,8 +31,9 @@ from nightdehaze.engine import kernels
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.imageio import write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
+from nightdehaze.training import deglow_batch_loss, dehaze_batch_loss
 
-from conftest import conv_reference
+from conftest import conv_backward_reference, conv_reference, make_training_sample
 
 
 def _identity_params(channels, dilation=1):
@@ -184,6 +189,72 @@ class TestDilatedConv2dBackward:
         params = ConvParams(weights=rng.normal(0, 1, (3, 2, 3, 3)), bias=np.zeros(3))
         with pytest.raises(DimensionError):
             dilated_conv2d_backward(x, params, np.zeros((1, 3, 4, 4)))
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _backward_case(rng, dtype, n, c, o, k, dilation, h, w):
+    x = rng.normal(0, 1, (n, c, h, w)).astype(dtype)
+    params = ConvParams(
+        weights=rng.normal(0, 0.3, (o, c, k, k)).astype(dtype),
+        bias=rng.normal(0, 1, o).astype(dtype),
+        dilation=dilation,
+    )
+    g = rng.normal(0, 1, (n, o, h, w)).astype(dtype)
+    g[rng.random(g.shape) < 0.2] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return x, params, g
+
+
+# (n, h, w): junk columns that wrap into the next row, w < 2*pad at d = 3,
+# single rows and columns, and 1x1 images
+ODD_SIZES = [(1, 1, 1), (2, 1, 5), (3, 5, 1), (2, 7, 3), (1, 13, 17), (3, 31, 33), (2, 65, 63)]
+
+
+class TestBackwardMatchesWholeBatchOracle:
+    """The backward pass runs one image at a time with a flat shifted-slice
+    col2im; it must give the bytes of the whole-batch im2col/col2im oracle."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (1, 2), (1, 3), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("c", [3, 8, 9, 15])
+    @pytest.mark.parametrize("o", [1, 2, 3, 8])
+    def test_training_shapes(self, rng, dtype, k, dilation, c, o):
+        x, params, g = _backward_case(rng, dtype, 8, c, o, k, dilation, 64, 64)
+        got = dilated_conv2d_backward(x, params, g)
+        want = conv_backward_reference(x, params, g)
+        for a, b in zip(got, want):
+            assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n, h, w", ODD_SIZES)
+    def test_odd_sizes_float32(self, rng, k, dilation, n, h, w):
+        for c, o in itertools.product((3, 8), (1, 3, 8)):
+            x, params, g = _backward_case(rng, np.float32, n, c, o, k, dilation, h, w)
+            got = dilated_conv2d_backward(x, params, g)
+            want = conv_backward_reference(x, params, g)
+            for a, b in zip(got, want):
+                assert _same_bytes(a, b)
+
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("n, h, w", ODD_SIZES)
+    def test_odd_sizes_float64(self, rng, k, dilation, n, h, w):
+        # The oracle's grad-input matmul has H*W columns.  When that is not a
+        # whole number of BLAS blocks, float64 BLAS computes the trailing
+        # columns with an edge kernel (or, for one column, a matrix-vector
+        # kernel) that rounds differently, so those pixels may differ by an
+        # ulp; here every column sits in a whole COL_BLOCK.  Grad-weights and
+        # grad-bias keep the oracle's matmul shapes and match exactly.
+        for c, o in itertools.product((3, 8), (1, 3, 8)):
+            x, params, g = _backward_case(rng, np.float64, n, c, o, k, dilation, h, w)
+            gx, gw, gb = dilated_conv2d_backward(x, params, g)
+            want_x, want_w, want_b = conv_backward_reference(x, params, g)
+            assert _same_bytes(gw, want_w) and _same_bytes(gb, want_b)
+            assert gx.dtype == want_x.dtype
+            ulp = np.spacing(np.abs(want_x).max())
+            assert np.abs(gx - want_x).max() <= 4 * ulp
 
 
 class TestReceptiveField:
@@ -354,6 +425,84 @@ class TestNoGrad:
         ])
         assert status == 0
         assert _weight_grad(*_conv_case(rng)) is not None
+
+
+def _unreleased_backward(root):
+    """The tape walk that spends nothing: recursive post-order, then every
+    adjoint in reverse (the reference for gradient accumulation order)."""
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) in seen:
+            return
+        seen.add(id(node))
+        for p in node._parents:
+            visit(p)
+        order.append(node)
+
+    visit(root)
+    root._accumulate(np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def _two_conv_loss(rng):
+    x, weight, bias = _conv_case(rng)
+    weight2 = Tensor(rng.normal(0, 1, (2, 3, 3, 3)), requires_grad=True)
+    h = relu(conv2d(x, weight, bias, dilation=2))
+    out = conv2d(h, weight2, Tensor(np.zeros(2)))
+    return tsum(mul(out, out)), (weight, bias, weight2), (h, out)
+
+
+class TestBackwardSpendsGraph:
+    def test_intermediates_freed_when_backward_returns(self, rng):
+        # with the cyclic GC off, only reference counting can free the tape
+        gc.disable()
+        try:
+            loss, _, (h, out) = _two_conv_loss(rng)
+            refs = [weakref.ref(h.data), weakref.ref(out.data)]
+            del h, out
+            assert all(r() is not None for r in refs)
+            loss.backward()
+            assert all(r() is None for r in refs)
+        finally:
+            gc.enable()
+
+    def test_graph_is_released(self, rng):
+        loss, leaves, intermediates = _two_conv_loss(rng)
+        loss.backward()
+        assert loss._parents == () and loss._backward is None and loss.grad is None
+        for t in intermediates:
+            assert t._parents == () and t._backward is None and t.grad is None
+            assert not t.requires_grad
+        assert all(t.grad is not None for t in leaves)
+
+    def test_second_call_is_a_no_op(self, rng):
+        loss, leaves, _ = _two_conv_loss(rng)
+        loss.backward()
+        grads = [t.grad.copy() for t in leaves]
+        loss.backward()
+        assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, grads))
+        assert loss.grad is None
+
+    @pytest.mark.parametrize("kind", ["deglow", "dehaze"])
+    def test_leaf_grads_match_unreleased_walk(self, kind):
+        rng = np.random.default_rng(3)
+        if kind == "deglow":
+            model, loss_fn = DeGlowModel(features=4, tau=2).init(rng, std=0.1), deglow_batch_loss
+        else:
+            model, loss_fn = DeHazeModel(features=4).init(rng, std=0.1), dehaze_batch_loss
+        batch = {
+            key: np.stack([value, value[:, ::-1]]).astype(np.float32)
+            for key, value in make_training_sample(2, size=16).items()
+        }
+        _unreleased_backward(loss_fn(model, batch))
+        want = {name: t.grad for name, t in model.parameters().items()}
+        model.zero_grad()
+        loss_fn(model, batch).backward()
+        for name, t in model.parameters().items():
+            assert t.grad.tobytes() == want[name].tobytes(), name
 
 
 class TestAstype:

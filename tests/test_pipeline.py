@@ -159,6 +159,17 @@ class TestRunPipeline:
         with pytest.raises(DataError):
             run_pipeline(observed, *models)
 
+    @pytest.mark.parametrize("stage", ["deglow", "dehaze"])
+    def test_non_finite_stage_output_names_the_stage(self, models, stage):
+        # deglow weights of 1e30 pass load_model's finite check and overflow;
+        # NaN weights make the dehaze output non-finite whatever its input
+        overflowing = {"deglow": copy.deepcopy(models[0]), "dehaze": copy.deepcopy(models[1])}
+        for t in overflowing[stage].parameters().values():
+            t.data[...] = 1e30 if stage == "deglow" else np.nan
+        observed, *_ = make_scene(6)
+        with pytest.raises(DataError, match=f"^{stage} stage"):
+            run_pipeline(observed, overflowing["deglow"], overflowing["dehaze"])
+
     def test_negative_tile_size_rejected(self, models):
         observed, *_ = make_scene(8)
         with pytest.raises(ParameterError):

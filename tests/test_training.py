@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from nightdehaze.engine import Tensor, mul, tsum
+from nightdehaze.engine import Tensor, mul, no_grad, tsum
 from nightdehaze.errors import ParameterError, TrainingDiverged
 from nightdehaze.networks import DeGlowModel, DeHazeModel
 from nightdehaze.training import (
     TrainSchedule,
+    _collate,
+    deglow_batch_loss,
+    dehaze_batch_loss,
     load_samples_from_manifest,
     train,
     train_deglow,
@@ -102,6 +105,35 @@ class TestTrainLoop:
             TrainSchedule(learning_rate=-1)
         with pytest.raises(ParameterError):
             TrainSchedule(batch_size=0)
+
+
+class TestValidationWithoutTape:
+    @pytest.mark.parametrize("kind", ["deglow", "dehaze"])
+    def test_batch_loss_bytes_do_not_depend_on_tape(self, samples, rng, kind):
+        if kind == "deglow":
+            model, loss_fn = DeGlowModel(features=4, tau=2).init(rng, std=0.1), deglow_batch_loss
+        else:
+            model, loss_fn = DeHazeModel(features=4).init(rng, std=0.1), dehaze_batch_loss
+        batch = _collate(samples, range(len(samples)))
+        taped = loss_fn(model, batch)
+        with no_grad():
+            untaped = loss_fn(model, batch)
+        assert taped._parents != () and untaped._parents == ()
+        assert untaped.data.tobytes() == taped.data.tobytes()
+
+    def test_validation_loss_records_no_tape(self, samples, rng):
+        losses = []
+
+        def recording(model, batch):
+            loss = dehaze_batch_loss(model, batch)
+            losses.append((len(batch["haze"]), loss._parents != ()))
+            return loss
+
+        val_set = samples[:3]
+        train(DeHazeModel(features=4).init(rng), samples, tiny_schedule(), recording, val_set)
+        # batch size 2 for training, 3 for the two validations
+        assert losses.count((2, True)) == 10 and losses.count((3, False)) == 2
+        assert len(losses) == 12
 
 
 class TestManifestLoading:
