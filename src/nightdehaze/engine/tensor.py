@@ -4,9 +4,12 @@ A Tensor wraps an ndarray plus an optional gradient buffer; ops build a tape
 of parent links and backward closures, and Tensor.backward() walks the tape
 in reverse topological order, releasing each node as it goes.  Inside
 `no_grad()` ops record nothing, so intermediates are freed as soon as the
-next op has read them; the switch is per thread.  Ops compute at their operands' numpy dtype: float32 is the
-training and inference dtype, and the same code paths accept float64 for
-finite-difference verification.
+next op has read them; the switch is per thread.  Constants an op depends
+on sit on the tape as parents without an adjoint; relu records its sign
+mask that way, so a gradient check can tell from two tapes whether a
+perturbation crossed a kink.  Ops compute at their operands' numpy dtype:
+float32 is the training and inference dtype, and the same code paths accept
+float64 for finite-difference verification.
 """
 
 import threading
@@ -48,8 +51,9 @@ class Tensor:
         else:
             self.grad += grad
 
-    def backward(self, grad=None):
-        """Accumulate d(self)/d(leaf) into the grad of every leaf of the tape.
+    def backward(self):
+        """Accumulate d(self)/d(leaf) into the grad of every leaf of the tape,
+        seeded with ones.
 
         The walk spends the graph: once a node's adjoint has run, the node
         drops its grad, adjoint and parent links and becomes a constant, so
@@ -71,9 +75,7 @@ class Tensor:
                     break
             else:
                 order.append(stack.pop()[0])
-        if grad is None:
-            grad = np.ones_like(self.data)
-        self._accumulate(np.asarray(grad, dtype=self.data.dtype))
+        self._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
             if node._backward is None:
@@ -211,38 +213,16 @@ def mul(a, b):
     return _make(a.data * b.data, (a, b), backward)
 
 
-_RELU_MASK_TRACE = None
-
-
-class record_relu_masks:
-    """Context manager collecting every ReLU sign mask evaluated inside it.
-
-    Used by gradient checks to confirm a finite-difference interval does not
-    cross a kink (identical masks at both endpoints)."""
-
-    def __enter__(self):
-        global _RELU_MASK_TRACE
-        self._prev = _RELU_MASK_TRACE
-        _RELU_MASK_TRACE = []
-        return _RELU_MASK_TRACE
-
-    def __exit__(self, *exc):
-        global _RELU_MASK_TRACE
-        _RELU_MASK_TRACE = self._prev
-        return False
-
-
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0
-    if _RELU_MASK_TRACE is not None:
-        _RELU_MASK_TRACE.append(mask)
 
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * mask)
 
-    return _make(np.where(mask, a.data, 0), (a,), backward)
+    # the mask is a constant parent: a gradient check reads it off the tape
+    return _make(np.where(mask, a.data, 0), (a, Tensor(mask)), backward)
 
 
 def sigmoid(a):
@@ -380,9 +360,3 @@ def bce(prob, target, eps=1e-7):
     pos = mul(log(prob, eps), target)
     neg = mul(log(sub(1.0, prob), eps), 1.0 - target)
     return mul(mean(add(pos, neg)), -1.0)
-
-
-def check_finite(t, what="tensor"):
-    if not np.all(np.isfinite(t.data)):
-        raise DataError(f"{what} contains non-finite values")
-    return t

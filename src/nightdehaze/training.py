@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import OptimizerState, check_finite, no_grad, sgd_step
+from .engine import OptimizerState, no_grad, sgd_step
 from .errors import ParameterError, TrainingDiverged
 from .imageio import read_pgm, read_ppm
 from .networks import (
@@ -68,11 +68,15 @@ def _collate(dataset, indices):
     return {k: np.stack([dataset[i][k] for i in indices]).astype(np.float32) for k in keys}
 
 
+# a diverging run is reported once, as TrainingDiverged from the finite-loss
+# checks, not also as numpy overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(model, dataset, schedule, loss_fn, val_set=None, checkpoint_dir=None):
     """Run momentum SGD; returns a TrainResult with logs and checkpoint paths.
 
     dataset / val_set: lists of per-sample dicts of C x H x W float arrays.
-    loss_fn(model, batch) must return a scalar Tensor.
+    loss_fn(model, batch) must return a scalar Tensor.  A non-finite training
+    or validation loss raises TrainingDiverged.
     """
     if not dataset:
         raise ParameterError("dataset is empty")
@@ -112,8 +116,9 @@ def train(model, dataset, schedule, loss_fn, val_set=None, checkpoint_dir=None):
             if val_batch is not None:
                 with no_grad():
                     vloss = loss_fn(model, val_batch)
-                check_finite(vloss, "validation loss")
                 vval = vloss.item()
+                if not np.isfinite(vval):
+                    raise TrainingDiverged(it, vval)
             else:
                 vval = loss_val
             result.val_log.append((it, vval))

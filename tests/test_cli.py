@@ -362,6 +362,15 @@ BAD_INPUTS = {
     "train-tau-zero": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--tau", "0"
     ]),
+    # numpy overflow warnings must not precede the divergence's error line
+    "train-deglow-diverges": ("train-deglow", lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[training]\nlearning_rate = 1e12\n"),
+    ]),
+    "train-dehaze-diverges": ("train-dehaze", lambda t, image, run, data: [
+        "train-dehaze", "--data", data, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[training]\nlearning_rate = 1e12\n"),
+    ]),
     "train-features-zero": ("train-dehaze", lambda t, image, run, data: [
         "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"
     ]),

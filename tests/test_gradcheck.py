@@ -1,7 +1,17 @@
-import numpy as np
+import threading
 
+import numpy as np
+import pytest
+
+from nightdehaze.engine import Tensor, relu, tsum
 from nightdehaze.engine.gradcheck import max_rel_error, numeric_grad
-from nightdehaze.gradsuite import TOLERANCE, run_gradient_suite
+from nightdehaze.engine.tensor import _make
+from nightdehaze.gradsuite import TOLERANCE, _kink_free, check, run_gradient_suite
+
+
+@pytest.fixture(scope="module")
+def suite_results():
+    return run_gradient_suite(seed=0)
 
 
 class TestNumericGrad:
@@ -37,9 +47,33 @@ class TestMaxRelError:
         assert max_rel_error(np.array([1e-9]), np.array([2e-9])) < 1e-8
 
 
+class TestKinkFree:
+    def test_rejects_interval_that_flips_a_relu(self):
+        x = Tensor(np.array([5e-4, 0.5]), requires_grad=True)
+        assert not _kink_free(lambda: tsum(relu(x)), x.data, 0)
+
+    def test_accepts_interval_that_flips_none(self):
+        x = Tensor(np.array([5e-4, 0.5]), requires_grad=True)
+        assert _kink_free(lambda: tsum(relu(x)), x.data, 1)
+        assert np.array_equal(x.data, [5e-4, 0.5])
+
+
+def _square_with_wrong_adjoint(a):
+    def backward(g):
+        a._accumulate(g * a.data)  # d(a^2)/da is 2a
+
+    return _make(a.data * a.data, (a,), backward)
+
+
+class TestCheck:
+    def test_wrong_adjoint_exceeds_tolerance(self, rng):
+        x = Tensor(rng.normal(0, 1, 6), requires_grad=True)
+        assert check(lambda: tsum(_square_with_wrong_adjoint(x)), [x], 6) > TOLERANCE
+
+
 class TestGradientSuite:
-    def test_all_cases_within_tolerance(self):
-        results = run_gradient_suite(seed=0)
+    def test_all_cases_within_tolerance(self, suite_results):
+        results = suite_results
         names = [name for name, _ in results]
         # every differentiable op plus full model steps must be covered
         for required in (
@@ -56,3 +90,23 @@ class TestGradientSuite:
             assert any(required in n for n in names), f"missing case {required}"
         for name, err in results:
             assert err <= TOLERANCE, f"{name}: {err:.3e} exceeds {TOLERANCE}"
+
+    def test_verdicts_unchanged_beside_another_threads_relu(self, suite_results):
+        stop = threading.Event()
+
+        def relu_loop():
+            x = Tensor(np.linspace(-1.0, 1.0, 7), requires_grad=True)
+            # the wait releases the interpreter lock between calls, so the
+            # suite is not starved of it
+            while not stop.wait(1e-4):
+                relu(x)
+
+        worker = threading.Thread(target=relu_loop)
+        worker.start()
+        try:
+            results = run_gradient_suite(seed=0)
+        finally:
+            stop.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert results == suite_results

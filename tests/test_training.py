@@ -81,6 +81,16 @@ class TestTrainLoop:
             train(model, samples, tiny_schedule(), bad)
         assert err.value.iteration == 1
 
+    def test_non_finite_validation_loss_diverges(self, samples, rng):
+        # finite on the training batches (size 2), NaN on the validation batch (size 3)
+        def scripted(model, batch):
+            return Tensor(np.float32(1.0 if len(batch["haze"]) == 2 else np.nan))
+
+        model = DeHazeModel(features=4).init(rng)
+        with pytest.raises(TrainingDiverged) as err:
+            train(model, samples, tiny_schedule(), scripted, val_set=samples[:3])
+        assert err.value.iteration == 5 and np.isnan(err.value.loss)
+
     def test_empty_dataset_rejected(self, rng):
         with pytest.raises(ParameterError):
             train_dehaze(DeHazeModel(features=4).init(rng), [], tiny_schedule())
