@@ -22,9 +22,9 @@ import numpy as np
 
 from . import metrics, synthesis
 from .config import default_config, load_config
-from .engine import gradcheck as gc
-from .errors import NightDehazeError
-from .imageio import read_pgm, read_ppm, write_pgm, write_ppm
+from .errors import NightDehazeError, ParameterError
+from .gradsuite import TOLERANCE, run_gradient_suite
+from .imageio import read_ppm, write_pgm, write_ppm
 from .networks import DEFAULT_FEATURES, DEFAULT_TAU, DeGlowModel, DeHazeModel, load_model
 from .pipeline import run_pipeline
 from .training import load_samples_from_manifest, train_deglow, train_dehaze
@@ -115,6 +115,8 @@ def cmd_synth(args):
 
 
 def _cmd_train(args, kind):
+    if args.val < 0:
+        raise ParameterError(f"--val must be >= 0, got {args.val}")
     cfgs = load_config(args.config) if args.config else default_config()
     schedule = cfgs["training"]
     if args.seed is not None:
@@ -299,15 +301,14 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    from .gradsuite import run_gradient_suite
-
     results = run_gradient_suite()
     worst = 0.0
     for name, err in results:
         print(f"{name}: max rel error {err:.3e}")
         worst = max(worst, err)
-    ok = worst <= 1e-3
-    print(f"gradcheck {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tolerance 1e-3)")
+    ok = worst <= TOLERANCE
+    tolerance = np.format_float_scientific(TOLERANCE, trim="-", exp_digits=1)
+    print(f"gradcheck {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tolerance {tolerance})")
     return 0 if ok else 1
 
 

@@ -1,15 +1,18 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A Tensor wraps an ndarray plus an optional gradient buffer; ops build a tape
-of parent links and backward closures, and Tensor.backward() walks the tape
-in reverse topological order, releasing each node as it goes.  Inside
-`no_grad()` ops record nothing, so intermediates are freed as soon as the
-next op has read them; the switch is per thread.  Constants an op depends
-on sit on the tape as parents without an adjoint; relu records its sign
-mask that way, so a gradient check can tell from two tapes whether a
-perturbation crossed a kink.  Ops compute at their operands' numpy dtype:
-float32 is the training and inference dtype, and the same code paths accept
-float64 for finite-difference verification.
+of parent links and adjoints.  An adjoint is a pure function: it takes the
+output's gradient and returns one gradient per parent, in parent order, and
+touches no tensor.  Tensor.backward() walks the tape in reverse topological
+order, accumulates each returned gradient into the parents that require one,
+and releases each node as it goes.  Inside `no_grad()` ops record nothing,
+so intermediates are freed as soon as the next op has read them; the switch
+is per thread.  Constants an op depends on sit on the tape as parents whose
+gradient is None; relu records its sign mask that way, so a gradient check
+can tell from two tapes whether a perturbation crossed a kink.  Ops compute
+at their operands' numpy dtype: float32 is the training and inference
+dtype, and the same code paths accept float64 for finite-difference
+verification.
 """
 
 import threading
@@ -81,31 +84,15 @@ class Tensor:
             if node._backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
+                for p, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    if p.requires_grad:
+                        p._accumulate(g)
             node.grad = node._backward = None
             node._parents = ()
             node.requires_grad = False
 
     def __add__(self, other):
         return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
 
 
 def _wrap(x, dtype=None):
@@ -159,12 +146,7 @@ def astype(a, dtype):
     a = _wrap(a)
     if a.dtype == dtype:
         return a
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-
-    return _make(a.data.astype(dtype), (a,), backward)
+    return _make(a.data.astype(dtype), (a,), lambda g: (g,))
 
 
 def _unbroadcast(grad, shape):
@@ -181,10 +163,7 @@ def add(a, b):
     a, b = _wrap2(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -193,10 +172,7 @@ def sub(a, b):
     a, b = _wrap2(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
     return _make(a.data - b.data, (a, b), backward)
 
@@ -205,10 +181,7 @@ def mul(a, b):
     a, b = _wrap2(a, b)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _make(a.data * b.data, (a, b), backward)
 
@@ -216,56 +189,33 @@ def mul(a, b):
 def relu(a):
     a = _wrap(a)
     mask = a.data > 0
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
-
     # the mask is a constant parent: a gradient check reads it off the tape
-    return _make(np.where(mask, a.data, 0), (a, Tensor(mask)), backward)
+    return _make(np.where(mask, a.data, 0), (a, Tensor(mask)), lambda g: (g * mask, None))
 
 
 def sigmoid(a):
     a = _wrap(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * s * (1.0 - s))
-
-    return _make(s, (a,), backward)
+    return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
 def log(a, eps=0.0):
     a = _wrap(a)
     val = a.data + eps
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / val)
-
-    return _make(np.log(val), (a,), backward)
+    return _make(np.log(val), (a,), lambda g: (g / val,))
 
 
 def mean(a):
     a = _wrap(a)
     n = a.data.size
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, g / n))
-
-    return _make(np.asarray(a.data.mean(), dtype=a.dtype), (a,), backward)
+    out = np.asarray(a.data.mean(), dtype=a.dtype)
+    return _make(out, (a,), lambda g: (np.full_like(a.data, g / n),))
 
 
 def tsum(a):
     a = _wrap(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.full_like(a.data, g))
-
-    return _make(np.asarray(a.data.sum(), dtype=a.dtype), (a,), backward)
+    out = np.asarray(a.data.sum(), dtype=a.dtype)
+    return _make(out, (a,), lambda g: (np.full_like(a.data, g),))
 
 
 def concat_channels(*tensors):
@@ -275,13 +225,10 @@ def concat_channels(*tensors):
     for t in ts[1:]:
         if t.shape[0] != base[0] or t.shape[2:] != base[2:]:
             raise DimensionError(f"cannot concat shapes {[t.shape for t in ts]}")
-    sizes = [t.shape[1] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [t.shape[1] for t in ts])
 
     def backward(g):
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[:, lo:hi])
+        return [g[:, lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
 
     return _make(np.concatenate([t.data for t in ts], axis=1), ts, backward)
 
@@ -297,10 +244,9 @@ def split_channels(a, sizes):
         lo, hi = int(lo), int(hi)
 
         def backward(g, lo=lo, hi=hi):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[:, lo:hi] = g
-                a._accumulate(full)
+            full = np.zeros_like(a.data)
+            full[:, lo:hi] = g
+            return (full,)
 
         outs.append(_make(a.data[:, lo:hi].copy(), (a,), backward))
     return outs
@@ -314,9 +260,8 @@ def channel_softmax(a):
     p = e / e.sum(axis=1, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            dot = (g * p).sum(axis=1, keepdims=True)
-            a._accumulate(p * (g - dot))
+        dot = (g * p).sum(axis=1, keepdims=True)
+        return (p * (g - dot),)
 
     return _make(p, (a,), backward)
 
@@ -326,17 +271,8 @@ def conv2d(x, weight, bias, dilation=1):
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     params = ConvParams(weights=weight.data, bias=bias.data, dilation=dilation)
     out = dilated_conv2d(x.data, params)
-
-    def backward(g):
-        gx, gw, gb = dilated_conv2d_backward(x.data, params, g)
-        if x.requires_grad:
-            x._accumulate(gx)
-        if weight.requires_grad:
-            weight._accumulate(gw)
-        if bias.requires_grad:
-            bias._accumulate(gb)
-
-    return _make(out, (x, weight, bias), backward)
+    # looked up at call time, so a wrapper installed on the module sees it
+    return _make(out, (x, weight, bias), lambda g: dilated_conv2d_backward(x.data, params, g))
 
 
 def mse(pred, target):

@@ -1,10 +1,15 @@
-"""The traced benchmark (perfbench/spans.py) wraps library functions by name;
-a rename in the library must fail here, not only as a KeyError in a traced run."""
+"""The benchmark (perfbench/) imports and wraps library functions by name; a
+rename or deletion in the library must fail here, not only in a benchmark run."""
 
+import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
@@ -19,3 +24,25 @@ def test_every_patched_name_exists_on_its_owner():
     assert table
     for owner, attr, _, _ in table:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+
+
+def _library_imports():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "nightdehaze":
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+IMPORTS = list(_library_imports())
+
+
+def test_benchmark_imports_something_from_the_library():
+    assert {name for name, _, _ in IMPORTS} >= {"scenes.py", "spans.py", "workloads.py"}
+
+
+@pytest.mark.parametrize(("path", "module", "name"), IMPORTS)
+def test_every_benchmark_import_resolves(path, module, name):
+    owner = importlib.import_module(module)
+    if not hasattr(owner, name):
+        importlib.import_module(f"{module}.{name}")  # a submodule the package does not import

@@ -371,6 +371,10 @@ BAD_INPUTS = {
         "train-dehaze", "--data", data, "--out", str(t / "o"),
         "--config", _write(t / "c.cfg", "[training]\nlearning_rate = 1e12\n"),
     ]),
+    # a negative count would train on the first records and validate on the rest
+    "train-val-negative": ("train-deglow", lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"), "--val", "-2"
+    ]),
     "train-features-zero": ("train-dehaze", lambda t, image, run, data: [
         "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"
     ]),

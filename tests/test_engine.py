@@ -11,20 +11,26 @@ from nightdehaze.engine import (
     ConvParams,
     OptimizerState,
     Tensor,
+    add,
     astype,
+    channel_softmax,
     concat_channels,
     conv2d,
     dilated_conv2d,
     dilated_conv2d_backward,
     gaussian_init,
     load_checkpoint,
+    log,
+    mean,
     mul,
     no_grad,
     receptive_field_extent,
     relu,
     save_checkpoint,
     sgd_step,
+    sigmoid,
     split_channels,
+    sub,
     tsum,
 )
 from nightdehaze.engine import kernels
@@ -427,6 +433,45 @@ class TestNoGrad:
         assert _weight_grad(*_conv_case(rng)) is not None
 
 
+# op name -> outputs built from leaves x (2 x 3 x 4 x 4, positive) and y
+# (1 x 3 x 1 x 4, broadcast against x); the constant is a plain array
+ADJOINT_CASES = {
+    "add": lambda x, y: [add(x, y)],
+    "sub": lambda x, y: [sub(x, y)],
+    "mul": lambda x, y: [mul(x, y)],
+    "mul-constant": lambda x, y: [mul(x, np.full(x.shape, 0.5))],
+    "relu": lambda x, y: [relu(sub(x, 0.5))],
+    "sigmoid": lambda x, y: [sigmoid(x)],
+    "log": lambda x, y: [log(x, 1e-3)],
+    "mean": lambda x, y: [mean(x)],
+    "tsum": lambda x, y: [tsum(x)],
+    "concat_channels": lambda x, y: [concat_channels(x, np.ones((2, 1, 4, 4)), x)],
+    "split_channels": lambda x, y: split_channels(x, [1, 2]),
+    "channel_softmax": lambda x, y: [channel_softmax(x)],
+    "conv2d": lambda x, y: [conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.zeros(2))],
+    "astype": lambda x, y: [astype(x, np.float32)],
+}
+
+
+class TestPureAdjoints:
+    @pytest.mark.parametrize("op", sorted(ADJOINT_CASES))
+    def test_adjoint_returns_one_gradient_per_parent_and_mutates_nothing(self, op, rng):
+        x = Tensor(rng.uniform(0.1, 1.0, (2, 3, 4, 4)), requires_grad=True)
+        y = Tensor(rng.uniform(0.1, 1.0, (1, 3, 1, 4)), requires_grad=True)
+        for out in ADJOINT_CASES[op](x, y):
+            tensors = [out, *out._parents]
+            for t in tensors:
+                if t.requires_grad:
+                    t.grad = np.full(t.shape, 7.0, dtype=t.dtype)
+            before = [(t.grad, None if t.grad is None else t.grad.copy()) for t in tensors]
+            grads = out._backward(rng.normal(0, 1, out.shape).astype(out.dtype))
+            assert len(grads) == len(out._parents)
+            for parent, grad in zip(out._parents, grads):
+                assert not parent.requires_grad or grad.shape == parent.shape
+            for t, (grad, copy) in zip(tensors, before):
+                assert t.grad is grad and (grad is None or np.array_equal(grad, copy))
+
+
 def _unreleased_backward(root):
     """The tape walk that spends nothing: recursive post-order, then every
     adjoint in reverse (the reference for gradient accumulation order)."""
@@ -444,7 +489,9 @@ def _unreleased_backward(root):
     root._accumulate(np.ones_like(root.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                if parent.requires_grad:
+                    parent._accumulate(grad)
 
 
 def _two_conv_loss(rng):
@@ -514,7 +561,7 @@ class TestAstype:
         x = Tensor(rng.normal(0, 1, (2, 3)), requires_grad=True)
         y = astype(x, np.float32)
         assert y.dtype == np.float32 and np.array_equal(y.data, x.data.astype(np.float32))
-        tsum(y * 2.0).backward()
+        tsum(mul(y, 2.0)).backward()
         assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.full((2, 3), 2.0))
 
 

@@ -3,10 +3,9 @@ import threading
 import numpy as np
 import pytest
 
-from nightdehaze.engine import Tensor, relu, tsum
-from nightdehaze.engine.gradcheck import max_rel_error, numeric_grad
+from nightdehaze.engine import Tensor, mul, relu, tsum
 from nightdehaze.engine.tensor import _make
-from nightdehaze.gradsuite import TOLERANCE, _kink_free, check, run_gradient_suite
+from nightdehaze.gradsuite import FLOOR, STEP, TOLERANCE, _probe, check, run_gradient_suite
 
 
 @pytest.fixture(scope="module")
@@ -14,55 +13,94 @@ def suite_results():
     return run_gradient_suite(seed=0)
 
 
+def _central_differences(build_loss, data):
+    diffs = []
+    for i in range(data.size):
+        hi, lo, _ = _probe(build_loss, data, i)
+        diffs.append((hi - lo) / (2.0 * STEP))
+    return np.array(diffs)
+
+
+def _scaled_with_adjoint(a, slope, adjoint_slope):
+    """slope * a, whose adjoint claims the slope is adjoint_slope."""
+    return _make(a.data * slope, (a,), lambda g: (g * adjoint_slope,))
+
+
+def _square_with_wrong_adjoint(a):
+    return _make(a.data * a.data, (a,), lambda g: (g * a.data,))  # d(a^2)/da is 2a
+
+
 class TestNumericGrad:
+    """The central difference read off one probe's two losses."""
+
     def test_quadratic(self):
-        x = np.array([1.0, -2.0, 3.0])
-        grad = numeric_grad(lambda v: float((v**2).sum()), x.copy())
-        assert np.allclose(grad, 2 * x, atol=1e-6)
+        x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        grad = _central_differences(lambda: tsum(mul(x, x)), x.data)
+        assert np.allclose(grad, 2 * x.data, atol=1e-6)
 
     def test_coordinate_subset(self):
-        x = np.arange(6, dtype=np.float64)
-        grad = numeric_grad(lambda v: float((v**3).sum()), x.copy(), indices=[1, 4])
-        assert grad[0] == 0.0 and grad[2] == 0.0
-        assert abs(grad[1] - 3.0) < 1e-5
-        assert abs(grad[4] - 48.0) < 1e-4
+        # accepted coordinates cost one probe (two builds) each, and the
+        # budget stops the scan: 1 backward build + 2 x 2 probe builds
+        x = Tensor(np.arange(6, dtype=np.float64), requires_grad=True)
+        builds = []
+
+        def build_loss():
+            builds.append(1)
+            return tsum(mul(mul(x, x), x))
+
+        assert check(build_loss, [x], 2) < TOLERANCE
+        assert len(builds) == 1 + 2 * 2
 
     def test_input_restored_after_probing(self):
-        x = np.array([0.5, 0.25])
-        orig = x.copy()
-        numeric_grad(lambda v: float(v.sum()), x)
-        assert np.array_equal(x, orig)
+        x = Tensor(np.array([0.5, 0.25]), requires_grad=True)
+        orig = x.data.copy()
+        _central_differences(lambda: tsum(x), x.data)
+        assert np.array_equal(x.data, orig)
+
+        def failing_build():
+            raise RuntimeError
+
+        with pytest.raises(RuntimeError):
+            _probe(failing_build, x.data, 1)
+        assert np.array_equal(x.data, orig)
 
 
 class TestMaxRelError:
-    def test_identical_is_zero(self, rng):
-        g = rng.normal(0, 1, 10)
-        assert max_rel_error(g, g.copy()) == 0.0
+    """The error measure of `check`: relative above FLOOR, absolute below."""
+
+    def test_identical_is_zero(self):
+        # at x = 0 the central difference of 2x is exactly 2
+        x = Tensor(np.zeros(4), requires_grad=True)
+        assert check(lambda: tsum(_scaled_with_adjoint(x, 2.0, 2.0)), [x], 4) == 0.0
 
     def test_relative_scaling(self):
-        assert abs(max_rel_error(np.array([100.0]), np.array([101.0])) - 1 / 101) < 1e-12
+        x = Tensor(np.zeros(1), requires_grad=True)
+        err = check(lambda: tsum(_scaled_with_adjoint(x, 101.0, 100.0)), [x], 1)
+        assert abs(err - 1 / 101) < 1e-9
 
     def test_tiny_values_compared_absolutely(self):
         # both below the floor: compared by absolute difference
-        assert max_rel_error(np.array([1e-9]), np.array([2e-9])) < 1e-8
+        x = Tensor(np.zeros(1), requires_grad=True)
+        err = check(lambda: tsum(_scaled_with_adjoint(x, 2 * FLOOR / 1000, FLOOR / 1000)), [x], 1)
+        assert err < 1e-8
 
 
 class TestKinkFree:
     def test_rejects_interval_that_flips_a_relu(self):
         x = Tensor(np.array([5e-4, 0.5]), requires_grad=True)
-        assert not _kink_free(lambda: tsum(relu(x)), x.data, 0)
+        assert not _probe(lambda: tsum(relu(x)), x.data, 0)[2]
 
     def test_accepts_interval_that_flips_none(self):
         x = Tensor(np.array([5e-4, 0.5]), requires_grad=True)
-        assert _kink_free(lambda: tsum(relu(x)), x.data, 1)
+        assert _probe(lambda: tsum(relu(x)), x.data, 1)[2]
         assert np.array_equal(x.data, [5e-4, 0.5])
 
-
-def _square_with_wrong_adjoint(a):
-    def backward(g):
-        a._accumulate(g * a.data)  # d(a^2)/da is 2a
-
-    return _make(a.data * a.data, (a,), backward)
+    def test_check_skips_rejected_coordinates(self):
+        # coordinate 0 has the largest gradient but a kink inside its interval,
+        # where the central difference reads 2.25 against the adjoint's 3
+        x = Tensor(np.array([5e-4, 0.5]), requires_grad=True)
+        cot = Tensor(np.array([3.0, 1.0]))
+        assert check(lambda: tsum(mul(relu(x), cot)), [x], 1) < 1e-9
 
 
 class TestCheck:
