@@ -305,7 +305,7 @@ def cmd_gradcheck(args):
     worst = 0.0
     for name, err in results:
         print(f"{name}: max rel error {err:.3e}")
-        worst = max(worst, err)
+        worst = np.maximum(worst, err)  # a NaN case stays NaN and fails
     ok = worst <= TOLERANCE
     tolerance = np.format_float_scientific(TOLERANCE, trim="-", exp_digits=1)
     print(f"gradcheck {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tolerance {tolerance})")

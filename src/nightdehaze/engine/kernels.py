@@ -2,7 +2,9 @@
 
 These are the plain-array forward/backward stencils; the autodiff layer in
 tensor.py wraps them.  Layout is N x C x H x W throughout.  Zero padding of
-width (k//2)*dilation preserves spatial size.
+width r = (k//2)*dilation on every side preserves spatial size; a side padded
+by less is a valid convolution there, and the output shrinks by the
+difference on that side.
 
 The forward pass lowers its input to patch columns one band of output rows
 at a time, so the patch matrix it multiplies stays in cache instead of
@@ -57,14 +59,28 @@ COL_BLOCK = 64
 BAND_BYTES = 1 << 20
 
 
-def _pad(x, pad):
-    """`x` inside a zeroed border `pad` pixels wide."""
-    if not pad:
+def _pad(x, pads):
+    """`x` inside a zeroed border of `pads` = (top, bottom, left, right)
+    rows and columns."""
+    if not any(pads):
         return x
+    top, bottom, left, right = pads
     n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
+    xp = np.zeros((n, c, h + top + bottom, w + left + right), dtype=x.dtype)
+    xp[:, :, top : top + h, left : left + w] = x
     return xp
+
+
+def _padded(x, params, pads):
+    """(x zero-padded by `pads`, the pads, output height, output width);
+    `pads` None pads the radius on every side."""
+    span = (params.weights.shape[2] - 1) * params.dilation
+    pads = (span // 2,) * 4 if pads is None else pads
+    xp = _pad(x, pads)
+    h, w = xp.shape[2] - span, xp.shape[3] - span
+    if h < 0 or w < 0:
+        raise DimensionError(f"input {x.shape[2:]} padded by {pads} is narrower than the kernel")
+    return xp, pads, h, w
 
 
 def _im2col(xp, k, dilation, col_block=1):
@@ -84,42 +100,44 @@ def _im2col(xp, k, dilation, col_block=1):
     return buf
 
 
-def _col2im(gcols, xshape, k, dilation):
-    """Adjoint of _im2col for one C x H x W image.
+def _col2im(gcols, padded_shape, k, dilation):
+    """Adjoint of _im2col for one C x Hp x Wp padded image.
 
     `gcols` is (C*k*k) x L columns on the padded-width grid: the column of
-    output (y, x) is y*(W + 2*pad) + x, and L >= H*(W + 2*pad).  Tap
-    (ky, kx) then adds to one contiguous slice of the flattened zero-padded
-    gradient, shifted by ky*dilation rows and kx*dilation columns.  The
-    grid's junk columns (x >= W) wrap into the border or the next row, so
-    they must hold zeros: an exact +-0 added to an accumulator that started
-    at +0.0 leaves it unchanged."""
-    c, h, w = xshape
-    pad = (k // 2) * dilation
-    wp = w + 2 * pad
-    hp = h + 2 * pad
-    span = h * wp
-    # the last tap's slice ends 2*pad past the padded image
-    flat = np.zeros((c, hp * wp + 2 * pad), dtype=gcols.dtype)
+    output (y, x) is y*Wp + x, and L >= h*Wp for the h = Hp - (k-1)*dilation
+    output rows.  Tap (ky, kx) then adds to one contiguous slice of the
+    flattened padded gradient, shifted by ky*dilation rows and kx*dilation
+    columns.  The grid's junk columns (x >= Wp - (k-1)*dilation) wrap into
+    the border or the next row, so they must hold zeros: an exact +-0 added
+    to an accumulator that started at +0.0 leaves it unchanged."""
+    c, hp, wp = padded_shape
+    span2 = (k - 1) * dilation
+    span = (hp - span2) * wp
+    # the last tap's slice ends span2 past the padded image
+    flat = np.zeros((c, hp * wp + span2), dtype=gcols.dtype)
     g = gcols.reshape(c, k * k, -1)
     for ky in range(k):
         for kx in range(k):
             off = ky * dilation * wp + kx * dilation
             flat[:, off : off + span] += g[:, ky * k + kx, :span]
-    return flat[:, : hp * wp].reshape(c, hp, wp)[:, pad : pad + h, pad : pad + w]
+    return flat[:, : hp * wp].reshape(c, hp, wp)
 
 
-def dilated_conv2d(x, params):
-    """Same-size dilated convolution; out-of-range taps read zero."""
+def dilated_conv2d(x, params, pads=None):
+    """Dilated convolution of `x` zero-padded by `pads` = (top, bottom,
+    left, right), by default the radius on every side: a same-size
+    convolution whose out-of-range taps read zero.  A side padded by less
+    than the radius shrinks the output by the difference there, so every
+    tap of its pixels lies in the padded input."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise DimensionError(f"input must be N x C x H x W, got shape {x.shape}")
     o, ci, k, _ = params.weights.shape
-    n, c, h, w = x.shape
+    n, c = x.shape[:2]
     if c != ci:
         raise DimensionError(f"input has {c} channels, kernel expects {ci}")
     span = (k - 1) * params.dilation
-    xp = _pad(x, span // 2)
+    xp, _, h, w = _padded(x, params, pads)
     wm = params.weights.reshape(o, -1)
     bias = params.bias.astype(x.dtype)[None, :, None, None]
     out = np.empty((n, o, h, w), dtype=np.result_type(wm, x))
@@ -137,26 +155,26 @@ def dilated_conv2d(x, params):
     return out
 
 
-def dilated_conv2d_backward(x, params, grad_out):
-    """Adjoints of dilated_conv2d: (grad_input, grad_weights, grad_bias).
+def dilated_conv2d_backward(x, params, grad_out, pads=None):
+    """Adjoints of dilated_conv2d(x, params, pads): (grad_input,
+    grad_weights, grad_bias).
 
     One image at a time, each with the bytes of a whole-batch lowering:
     grad_weights sums the images' `grad @ cols.T` products in image order
-    from +0.0, as a sum over the batch axis does, with K = H*W as before;
-    grad_input's columns come from grad_out laid on the padded-width grid,
-    whose junk columns stay zero (see _col2im)."""
+    from +0.0, as a sum over the batch axis does, with K = h*w output
+    pixels; grad_input's columns come from grad_out laid on the padded-width
+    grid, whose junk columns stay zero (see _col2im)."""
     x = np.asarray(x)
     grad_out = np.asarray(grad_out)
     o, ci, k, _ = params.weights.shape
-    n, c, h, w = x.shape
+    n, c, hi, wi = x.shape
+    xp, (top, _, left, _), h, w = _padded(x, params, pads)
     if grad_out.shape != (n, o, h, w):
         raise DimensionError(
             f"grad_out shape {grad_out.shape} does not match output {(n, o, h, w)}"
         )
     d = params.dilation
-    pad = (k // 2) * d
-    wp = w + 2 * pad
-    xp = _pad(x, pad)
+    wp = xp.shape[3]
     wmt = params.weights.reshape(o, -1).T.astype(grad_out.dtype)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     grad_weights = np.zeros((o, c * k * k), dtype=np.result_type(grad_out, x))
@@ -167,7 +185,8 @@ def dilated_conv2d_backward(x, params, grad_out):
         cols = _im2col(xp[i : i + 1], k, d)
         grad_weights += grad_out[i].reshape(o, h * w) @ cols[0].T
         grid[...] = grad_out[i]
-        grad_input[i] = _col2im(wmt @ g_wide, (c, h, w), k, d)
+        gxp = _col2im(wmt @ g_wide, xp.shape[1:], k, d)
+        grad_input[i] = gxp[:, top : top + hi, left : left + wi]
     return grad_input, grad_weights.reshape(params.weights.shape), grad_bias
 
 

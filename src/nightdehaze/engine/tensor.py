@@ -266,13 +266,34 @@ def channel_softmax(a):
     return _make(p, (a,), backward)
 
 
-def conv2d(x, weight, bias, dilation=1):
-    """Autodiff dilated convolution; weight (O,I,k,k), bias (O,)."""
+def conv2d(x, weight, bias, dilation=1, pads=None):
+    """Autodiff dilated convolution; weight (O,I,k,k), bias (O,).  `pads`
+    (top, bottom, left, right) as in `dilated_conv2d`, by default the
+    radius on every side."""
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     params = ConvParams(weights=weight.data, bias=bias.data, dilation=dilation)
-    out = dilated_conv2d(x.data, params)
+    out = dilated_conv2d(x.data, params, pads)
     # looked up at call time, so a wrapper installed on the module sees it
-    return _make(out, (x, weight, bias), lambda g: dilated_conv2d_backward(x.data, params, g))
+    return _make(
+        out, (x, weight, bias), lambda g: dilated_conv2d_backward(x.data, params, g, pads)
+    )
+
+
+def crop(a, top, bottom, left, right):
+    """`a` (N x C x H x W) without `top`, `bottom`, `left` and `right` rows
+    and columns on those sides; `a` itself when all four are 0."""
+    a = _wrap(a)
+    if not (top or bottom or left or right):
+        return a
+    h, w = a.shape[2:]
+    box = (slice(None), slice(None), slice(top, h - bottom), slice(left, w - right))
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[box] = g
+        return (full,)
+
+    return _make(a.data[box], (a,), backward)
 
 
 def mse(pred, target):

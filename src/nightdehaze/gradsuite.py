@@ -14,7 +14,7 @@ relative error.
 
 import numpy as np
 
-from .engine import Tensor, bce, concat_channels, conv2d, mse, mul, relu, tsum
+from .engine import Tensor, bce, concat_channels, conv2d, crop, mse, mul, relu, tsum
 from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_unroll, dehaze_forward, dehaze_loss
 
 TOLERANCE = 1e-3
@@ -75,7 +75,9 @@ def check(build_loss, tensors, max_coords):
     build_loss() must rebuild the scalar loss from `tensors` (float64,
     requires-grad) on every call.  For each tensor, up to max_coords (an int,
     or one per tensor) of its largest-|grad| kink-free coordinates are
-    checked; a tensor the loss does not use (grad None) is skipped.
+    checked; a tensor the loss does not use (grad None) is skipped.  A NaN
+    error on any coordinate makes the result NaN, which fails every
+    tolerance.
     """
     for t in tensors:
         t.zero_grad()
@@ -92,7 +94,8 @@ def check(build_loss, tensors, max_coords):
             hi, lo, kink_free = _probe(build_loss, t.data, i)
             if kink_free:
                 used += 1
-                worst = max(worst, _rel_error(float(grad[i]), (hi - lo) / (2.0 * STEP)))
+                # np.maximum keeps a NaN where max() would drop it
+                worst = np.maximum(worst, _rel_error(float(grad[i]), (hi - lo) / (2.0 * STEP)))
     return worst
 
 
@@ -171,4 +174,16 @@ def run_gradient_suite(seed=0):
         return dehaze_loss(dehaze_forward(dh_in, dh), t_target)
 
     results.append(("dehaze_loss", _check_model(dh_loss, dh, dh_in)))
+
+    # a conv as a tile runs it, valid on its halo sides, then cropped where
+    # tensors meet: top and right unpadded, left padded by 1 of radius 2
+    x, w, b = _leaves(
+        rng.normal(0, 1, (1, 4, 9, 8)), rng.normal(0, 0.5, (3, 4, 3, 3)), rng.normal(0, 0.5, 3)
+    )
+    cot = Tensor(rng.normal(0, 1, (1, 3, 6, 3)))
+
+    def windowed_loss():
+        return tsum(mul(crop(conv2d(x, w, b, 2, (0, 2, 1, 0)), 1, 0, 0, 2), cot))
+
+    results.append(("dilated_conv2d windowed DF=2", check(windowed_loss, [x, w, b], 24)))
     return results

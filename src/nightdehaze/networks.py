@@ -7,6 +7,13 @@ more 3x3 convolution.  The glow model applies this block recursively,
 predicting per step a glow-probability map, nonnegative streak layers, and a
 residual that is subtracted from the running image.  The transmission model
 runs the block once and squashes a single output channel through a sigmoid.
+
+Every layer takes a `window`: which sides (top, bottom, left, right) of the
+input are halo sides, context past the region whose outputs are wanted.  A
+conv is valid there (it shrinks by its radius instead of reading zeros) and
+same-size on the other sides, which lie on the image border.  Where tensors
+meet, each is cropped on its halo sides to the smallest of their boxes.  The
+whole image has no halo sides, so every crop is then a no-op.
 """
 
 from dataclasses import dataclass
@@ -16,11 +23,13 @@ import numpy as np
 from .engine import (
     INIT_STD,
     Tensor,
+    add,
     astype,
     bce,
     channel_softmax,
     concat_channels,
     conv2d,
+    crop,
     load_checkpoint,
     mean,
     mse,
@@ -41,6 +50,8 @@ DEFAULT_TAU = 3
 MAX_TAU = 16
 PATH_DILATIONS = (1, 2, 3)
 CONVS_PER_PATH = 3
+# the window of a whole image: no halo sides
+WHOLE = (False, False, False, False)
 
 
 @dataclass
@@ -68,8 +79,9 @@ class Conv:
         self.weight.data = gaussian_init(self.weight.shape, rng, std)
         self.bias.data = np.zeros_like(self.bias.data)
 
-    def __call__(self, x):
-        return conv2d(x, self.weight, self.bias, self.dilation)
+    def __call__(self, x, window=WHOLE):
+        pads = tuple(0 if halo else self.radius for halo in window)
+        return conv2d(x, self.weight, self.bias, self.dilation, pads)
 
     @property
     def radius(self):
@@ -78,6 +90,28 @@ class Conv:
 
     def named(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
+
+
+def _radius(convs):
+    return sum(conv.radius for conv in convs)
+
+
+def halo_margins(window, outer, inner):
+    """(top, bottom, left, right) widths that take a spatial size `outer`
+    to `inner`: the difference on each axis, split equally between that
+    axis's halo sides."""
+    top, bottom, left, right = window
+    dy = (outer[0] - inner[0]) // max(1, top + bottom)
+    dx = (outer[1] - inner[1]) // max(1, left + right)
+    return dy * top, dy * bottom, dx * left, dx * right
+
+
+def _meet(window, *tensors):
+    """The tensors cropped on their halo sides to the smallest box among
+    them.  The boxes of one window share their border sides and each has
+    shrunk equally on every halo side, so the smallest lies inside the rest."""
+    inner = min(t.shape[2] for t in tensors), min(t.shape[3] for t in tensors)
+    return [crop(t, *halo_margins(window, t.shape[2:], inner)) for t in tensors]
 
 
 class ContextualDilatedBlock:
@@ -95,30 +129,32 @@ class ContextualDilatedBlock:
         self.fuse = Conv(features, features)
         self.gate = Conv(features, features, kernel=1) if feedback else None
 
-    def __call__(self, x, prev_features=None):
+    def __call__(self, x, prev_features=None, window=WHOLE):
         h = x
         for conv in self.entry:
-            h = relu(conv(h))
+            h = relu(conv(h, window))
         if prev_features is not None:
             if self.gate is None:
                 raise ParameterError("block built without a feedback path")
-            h = h + self.gate(prev_features)
+            h = add(*_meet(window, h, self.gate(prev_features, window)))
+        # each path starts from h cropped on its halo sides by the radius it
+        # lacks of the widest path's, so that all three end on one box
+        widest = max(_radius(path) for path in self.paths)
         agg = None
         for path in self.paths:
-            a = h
+            a = crop(h, *((widest - _radius(path)) * halo for halo in window))
             for conv in path:
-                a = relu(conv(a))
+                a = relu(conv(a, window))
             agg = a if agg is None else agg + a
-        return relu(self.fuse(agg))
+        return relu(self.fuse(agg, window))
 
     @property
     def radius(self):
         # the deepest chain: entry, the widest path, fuse.  The feedback gate
         # reads features one step older, which reach no further back than the
         # current image does through the entry convs.
-        entry = sum(conv.radius for conv in self.entry)
-        path = max(sum(conv.radius for conv in path) for path in self.paths)
-        return entry + path + self.fuse.radius
+        path = max(_radius(path) for path in self.paths)
+        return _radius(self.entry) + path + self.fuse.radius
 
     def layers(self, prefix):
         out = {}
@@ -201,28 +237,31 @@ class DeGlowModel(_ModelBase):
         """Pixels on each side that one step's outputs read of its image; the
         previous features, entering after the entry convs, reach less far."""
         # features -> glow logits -> streak convs -> residual is the deepest chain
-        heads = [self.head_glow, *self.head_streak, self.head_residual]
-        return self.block.radius + sum(conv.radius for conv in heads)
+        return self.block.radius + _radius([self.head_glow, *self.head_streak, self.head_residual])
 
     def receptive_radius(self):
         """Input pixels on each side that one output pixel of the unroll reads."""
         return self.tau * self.step_radius
 
-    def step(self, image, prev_features=None):
-        """One recurrence: returns (residual, glow_prob, streaks, features)."""
+    def step(self, image, prev_features=None, window=WHOLE):
+        """One recurrence: returns (residual, glow_prob, streaks, features),
+        each on its own box: on halo sides of `window` an output is smaller
+        than the image by the depth of the chain that made it."""
         image = image if isinstance(image, Tensor) else Tensor(image)
         if len(image.shape) != 4 or image.shape[1] != 3:
             raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-        feats = self.block(image, prev_features)
-        logits = self.head_glow(feats)
+        feats = self.block(image, prev_features, window)
+        logits = self.head_glow(feats, window)
         probs = channel_softmax(logits)
         glow_prob, _ = split_channels(probs, [1, 1])
-        s = concat_channels(feats, glow_prob)
+        s = concat_channels(*_meet(window, feats, glow_prob))
         for conv in self.head_streak[:-1]:
-            s = relu(conv(s))
-        streaks = relu(self.head_streak[-1](s))
-        masked = sub(image, mul(glow_prob, streaks))
-        residual = self.head_residual(concat_channels(feats, glow_prob, streaks, masked))
+            s = relu(conv(s, window))
+        streaks = relu(self.head_streak[-1](s, window))
+        image_s, glow_s, streaks = _meet(window, image, glow_prob, streaks)
+        masked = sub(image_s, mul(glow_s, streaks))
+        joined = concat_channels(*_meet(window, feats, glow_prob, streaks, masked))
+        residual = self.head_residual(joined, window)
         return residual, glow_prob, streaks, feats
 
 
@@ -302,13 +341,15 @@ class DeHazeModel(_ModelBase):
         return self.block.radius + self.head.radius
 
 
-def dehaze_forward(image, model):
+def dehaze_forward(image, model, window=WHOLE):
     """Estimate the transmission map of a (deglowed) haze image: a Tensor of
-    sigmoid outputs at the weights' dtype, unfloored."""
+    sigmoid outputs at the weights' dtype, unfloored, smaller than the image
+    by `model.receptive_radius()` on each halo side of `window`."""
     image = image if isinstance(image, Tensor) else Tensor(image)
     if len(image.shape) != 4 or image.shape[1] != 3:
         raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-    return sigmoid(model.head(model.block(astype(image, model.dtype))))
+    features = model.block(astype(image, model.dtype), window=window)
+    return sigmoid(model.head(features, window))
 
 
 def dehaze_loss(t_pred, t_true):

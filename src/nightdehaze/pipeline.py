@@ -2,7 +2,10 @@
 light, radiance recovery.  Each stage is timed; large images can be processed
 in overlapping tiles whose halo covers the network receptive field, so tiled
 and whole-image outputs agree in tile interiors.  DeGlow is tiled per
-recurrence step, so its halo covers one step, not the whole unroll.
+recurrence step, so its halo covers one step, not the whole unroll.  Each
+conv of a tile shrinks by its radius on the tile's halo sides, so a
+network's outputs may be smaller than the tile and its halo there: each
+layer is computed only where a later layer reads it.
 """
 
 import time
@@ -13,7 +16,7 @@ import numpy as np
 from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
 from .engine import Tensor, no_grad
 from .errors import DataError, DimensionError, ParameterError
-from .networks import deglow_unroll, dehaze_forward
+from .networks import WHOLE, deglow_unroll, dehaze_forward, halo_margins
 
 STAGES = ("deglow", "dehaze", "atmospheric_light", "recover")
 
@@ -40,31 +43,41 @@ class RunArtifacts:
 
 
 def apply_tiled(fn, inputs, tile_size, halo):
-    """Apply `fn(*patches)` to N,C,H,W arrays in overlapping tiles.
+    """Apply `fn(*patches, window=window)` to N,C,H,W arrays in overlapping
+    tiles.
 
     `inputs` is a tuple of arrays sharing H and W; a None entry reaches every
-    tile as None.  `fn` returns a tuple of N,C',H,W arrays, each stitched from
-    the tile interiors at its own channel count and dtype.  Each tile carries
-    `halo` pixels of context on every side, so the stitched outputs equal
-    `fn(*inputs)` when no output pixel reads farther than `halo`.  With
-    `tile_size` 0, or an image within one tile, this is `fn(*inputs)` itself.
+    tile as None.  Each tile carries up to `halo` pixels of context on each
+    side; `window` flags (top, bottom, left, right) the halo sides, which
+    hold the whole `halo`, and any other side lies on the image border.
+    `fn` returns a tuple of N,C',H',W' arrays, each stitched from the tile
+    interiors at its own channel count and dtype.  An output may be smaller
+    than its patch, by the same width on each halo side, and is placed by
+    its own shape.  The stitched outputs equal `fn(*inputs, window=WHOLE)`
+    when no output pixel reads farther than `halo`.  With `tile_size` 0, or
+    an image within one tile, this is `fn(*inputs, window=WHOLE)` itself.
     """
     if tile_size < 0:
         raise ParameterError(f"tile_size must be >= 0, got {tile_size}")
     n, _, h, w = inputs[0].shape
     if not tile_size or (h <= tile_size and w <= tile_size):
-        return fn(*inputs)
+        return fn(*inputs, window=WHOLE)
     outs = None
     for y0 in range(0, h, tile_size):
         for x0 in range(0, w, tile_size):
             y1, x1 = min(y0 + tile_size, h), min(x0 + tile_size, w)
             ya, xa = max(0, y0 - halo), max(0, x0 - halo)
             yb, xb = min(h, y1 + halo), min(w, x1 + halo)
-            results = fn(*(None if x is None else x[:, :, ya:yb, xa:xb] for x in inputs))
+            context = (y0 - ya, yb - y1, x0 - xa, xb - x1)
+            window = tuple(bool(halo) and side == halo for side in context)
+            patches = (None if x is None else x[:, :, ya:yb, xa:xb] for x in inputs)
+            results = fn(*patches, window=window)
             if outs is None:
                 outs = tuple(np.zeros((n, r.shape[1], h, w), dtype=r.dtype) for r in results)
             for out, r in zip(outs, results):
-                out[:, :, y0:y1, x0:x1] = r[:, :, y0 - ya : y1 - ya, x0 - xa : x1 - xa]
+                top, _, left, _ = halo_margins(window, (yb - ya, xb - xa), r.shape[2:])
+                ys, xs = y0 - ya - top, x0 - xa - left
+                out[:, :, y0:y1, x0:x1] = r[:, :, ys : ys + y1 - y0, xs : xs + x1 - x0]
     return outs
 
 
@@ -78,7 +91,7 @@ def _tiled_step(model, tile_size):
 
     def step(image, prev_features):
         outputs = apply_tiled(
-            lambda *patches: [t.data for t in model.step(*patches)],
+            lambda *patches, window: [t.data for t in model.step(*patches, window=window)],
             (image.data, None if prev_features is None else prev_features.data),
             tile_size,
             model.step_radius,
@@ -125,7 +138,7 @@ def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_si
     deglowed_input = np.ascontiguousarray(deglowed.transpose(2, 0, 1)[None])
     with no_grad(), np.errstate(over="ignore", invalid="ignore"):
         (t_nchw,) = apply_tiled(
-            lambda patch: (dehaze_forward(patch, dehaze_model).data,),
+            lambda patch, window: (dehaze_forward(patch, dehaze_model, window=window).data,),
             (deglowed_input,),
             tile_size,
             dehaze_model.receptive_radius(),

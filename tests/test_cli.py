@@ -14,6 +14,16 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+@pytest.mark.parametrize("errors", [(1e-4, np.nan, 2e-4), (np.nan, 1e-4), (1e-4, 2e-4)])
+def test_gradcheck_fails_on_any_nan_case(monkeypatch, capsys, errors):
+    results = [(f"case{i}", err) for i, err in enumerate(errors)]
+    monkeypatch.setattr(cli, "run_gradient_suite", lambda: results)
+    ok = not any(np.isnan(errors))
+    assert run_cli("gradcheck") == (0 if ok else 1)
+    verdict = capsys.readouterr().out.splitlines()[-1]
+    assert verdict.startswith("gradcheck PASS" if ok else "gradcheck FAIL")
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("data") / "set"

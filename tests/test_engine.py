@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightdehaze import cli
 from nightdehaze.engine import (
@@ -16,6 +18,7 @@ from nightdehaze.engine import (
     channel_softmax,
     concat_channels,
     conv2d,
+    crop,
     dilated_conv2d,
     dilated_conv2d_backward,
     gaussian_init,
@@ -115,6 +118,42 @@ class TestDilatedConv2d:
             assert np.array_equal(
                 crop[:, :, y0 - ya : y1 - ya, x0 - xa : x1 - xa], whole[:, :, y0:y1, x0:x1]
             )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        k=st.sampled_from([1, 3]),
+        dilation=st.integers(1, 3),
+        window=st.tuples(*[st.booleans()] * 4),
+    )
+    def test_windowed_conv_of_a_crop_matches_same_size_conv(self, data, dtype, k, dilation, window):
+        # a tile's conv: valid on its halo sides, same-size on the others,
+        # which lie on the image border; its pixels are the whole image's bits
+        r = (k // 2) * dilation
+
+        def axis(low_halo, high_halo):
+            shrink = r * (low_halo + high_halo)
+            size = data.draw(st.integers(1 + shrink, 1 + shrink + 24))
+            start = data.draw(st.integers(0, size - 1 - shrink)) if low_halo else 0
+            stop = data.draw(st.integers(start + 1 + shrink, size)) if high_halo else size
+            return size, start, stop
+
+        top, bottom, left, right = window
+        (h, ya, yb), (w, xa, xb) = axis(top, bottom), axis(left, right)
+        n, c, o = (data.draw(st.integers(1, 4)) for _ in range(3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(0, 1, (n, c, h, w)).astype(dtype)
+        params = ConvParams(
+            weights=rng.normal(0, 0.3, (o, c, k, k)).astype(dtype),
+            bias=rng.normal(0, 1, o).astype(dtype),
+            dilation=dilation,
+        )
+        pads = tuple(0 if halo else r for halo in window)
+        got = dilated_conv2d(x[:, :, ya:yb, xa:xb], params, pads)
+        whole = dilated_conv2d(x, params)
+        want = whole[:, :, ya + r * top : yb - r * bottom, xa + r * left : xb - r * right]
+        assert _same_bytes(got, want)
 
     def test_float32_crops_match_whole_image_across_bands(self, rng, monkeypatch):
         # bands of a few rows, so crops and the whole image cut them differently
@@ -261,6 +300,24 @@ class TestBackwardMatchesWholeBatchOracle:
             assert gx.dtype == want_x.dtype
             ulp = np.spacing(np.abs(want_x).max())
             assert np.abs(gx - want_x).max() <= 4 * ulp
+
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("sides", [(0, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1), (1, 1, 0, 0)])
+    def test_windowed_is_same_size_on_the_padded_input(self, rng, k, dilation, sides):
+        # a conv padded by `pads` is the same-size conv of the padded input,
+        # cropped by the radius: so are its adjoints
+        r = (k // 2) * dilation
+        pads = tuple(side * r for side in sides)
+        top, bottom, left, right = pads
+        x, params, _ = _backward_case(rng, np.float64, 2, 3, 4, k, dilation, 13, 11)
+        xp = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
+        g = rng.normal(0, 1, (2, 4, xp.shape[2] - 2 * r, xp.shape[3] - 2 * r))
+        gx, gw, gb = dilated_conv2d_backward(x, params, g, pads)
+        g_same = np.pad(g, ((0, 0), (0, 0), (r, r), (r, r)))
+        want_xp, want_w, want_b = conv_backward_reference(xp, params, g_same)
+        want_x = want_xp[:, :, top : top + x.shape[2], left : left + x.shape[3]]
+        for got, want in ((gx, want_x), (gw, want_w), (gb, want_b)):
+            assert got.shape == want.shape and np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestReceptiveField:
@@ -449,6 +506,10 @@ ADJOINT_CASES = {
     "split_channels": lambda x, y: split_channels(x, [1, 2]),
     "channel_softmax": lambda x, y: [channel_softmax(x)],
     "conv2d": lambda x, y: [conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.zeros(2))],
+    "conv2d-windowed": lambda x, y: [
+        conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.zeros(2), 1, (0, 1, 1, 0))
+    ],
+    "crop": lambda x, y: [crop(x, 1, 0, 2, 1)],
     "astype": lambda x, y: [astype(x, np.float32)],
 }
 

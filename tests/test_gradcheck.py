@@ -108,6 +108,16 @@ class TestCheck:
         x = Tensor(rng.normal(0, 1, 6), requires_grad=True)
         assert check(lambda: tsum(_square_with_wrong_adjoint(x)), [x], 6) > TOLERANCE
 
+    def test_nan_adjoint_fails(self):
+        # NaN on 2 of 3 coordinates, checked after an exact one
+        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+
+        def doubled(a):
+            return _make(2 * a.data, (a,), lambda g: (np.where(a.data > 1.5, np.nan, 2 * g),))
+
+        err = check(lambda: tsum(doubled(x)), [x], 3)
+        assert np.isnan(err) and not err <= TOLERANCE
+
 
 class TestGradientSuite:
     def test_all_cases_within_tolerance(self, suite_results):
@@ -118,6 +128,7 @@ class TestGradientSuite:
             "dilated_conv2d DF=1",
             "dilated_conv2d DF=2",
             "dilated_conv2d DF=3",
+            "dilated_conv2d windowed",
             "relu",
             "concat_channels",
             "mse_loss",

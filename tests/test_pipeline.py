@@ -6,7 +6,7 @@ import pytest
 from nightdehaze.atmospherics import recover_radiance
 from nightdehaze.engine import Tensor, mul, tensor, tsum
 from nightdehaze.errors import DataError, DimensionError, ParameterError
-from nightdehaze.networks import DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
+from nightdehaze.networks import WHOLE, Conv, DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
 from nightdehaze import pipeline
 from nightdehaze.pipeline import STAGES, PipelineConfig, apply_tiled, run_pipeline
 
@@ -51,9 +51,9 @@ class TestRunPipeline:
                 t.data = t.data.astype(np.float64)
         conv_dtypes = []
 
-        def spy(x, params):
+        def spy(x, params, *args):
             conv_dtypes.append((x.dtype.name, params.weights.dtype.name))
-            return dilated_conv2d(x, params)
+            return dilated_conv2d(x, params, *args)
 
         dilated_conv2d = tensor.dilated_conv2d
         monkeypatch.setattr(tensor, "dilated_conv2d", spy)
@@ -128,10 +128,10 @@ class TestRunPipeline:
         h, w, tile = 48, 64, 16
         calls = []
 
-        def spy(model, image, prev_features=None):
+        def spy(model, image, prev_features=None, window=WHOLE):
             feats_dtype = None if prev_features is None else prev_features.dtype
             calls.append((image.shape[2] * image.shape[3], feats_dtype))
-            return step(model, image, prev_features)
+            return step(model, image, prev_features, window)
 
         step = DeGlowModel.step
         monkeypatch.setattr(DeGlowModel, "step", spy)
@@ -147,6 +147,47 @@ class TestRunPipeline:
             fed = calls[t * len(tiles) : (t + 1) * len(tiles)]
             assert sum(pixels for pixels, _ in fed) == sum(tiles)
             assert {dtype for _, dtype in fed} == {None if t == 0 else np.dtype(np.float32)}
+
+    def test_tiled_convs_shrink_on_halo_sides(self, monkeypatch):
+        # each layer of an interior tile is computed only where later layers
+        # read it: the fuse output is the tile plus the heads' reach, every
+        # dilated path ends on the fuse input's box, and the last head's
+        # output is the tile itself
+        rng = np.random.default_rng(4)
+        deglow = DeGlowModel(features=2, tau=2).init(rng, std=0.3)
+        dehaze = DeHazeModel(features=2).init(rng, std=0.3)
+        tile = 16
+        calls = []
+
+        def spy(conv, x, window=WHOLE):
+            out = call(conv, x, window)
+            calls.append((conv, window, out.shape[2:]))
+            return out
+
+        call = Conv.__call__
+        monkeypatch.setattr(Conv, "__call__", spy)
+        run_pipeline(np.random.default_rng(5).uniform(0, 1, (48, 64, 3)), deglow, dehaze, tile_size=tile)
+
+        for model, halo, last in (
+            (deglow, deglow.step_radius, deglow.head_residual),
+            (dehaze, dehaze.receptive_radius(), dehaze.head),
+        ):
+            block = model.block
+            starts = [
+                i for i, (conv, window, _) in enumerate(calls) if conv is block.entry[0] and all(window)
+            ]
+            assert starts
+            for start in starts:
+                outs = {}
+                for conv, _, out in calls[start:]:
+                    if conv is block.entry[0] and outs:
+                        break
+                    outs[conv] = out
+                fused = tile + 2 * (halo - block.radius)
+                assert outs[block.fuse] == (fused, fused)
+                paths = {outs[path[-1]] for path in block.paths}
+                assert paths == {(fused + 2 * block.fuse.radius,) * 2}
+                assert outs[last] == (tile, tile)
 
     def test_bad_input_shape_rejected(self, models, rng):
         with pytest.raises(DimensionError):
@@ -183,24 +224,38 @@ class TestApplyTiled:
         x = rng.normal(0, 1, (1, 3, 8, 8)).astype(np.float32)
         calls = []
 
-        def fn(patch):
-            calls.append(patch.shape)
+        def fn(patch, window):
+            calls.append((patch.shape, window))
             return (patch * 2,)
 
         (out,) = apply_tiled(fn, (x,), tile_size=16, halo=4)
-        assert len(calls) == 1
+        assert calls == [(x.shape, WHOLE)]
         assert np.array_equal(out, x * 2)
 
     def test_pointwise_function_is_exact(self, rng):
         x = rng.normal(0, 1, (1, 2, 30, 50)).astype(np.float32)
-        (out,) = apply_tiled(lambda p: (p * 3 + 1,), (x,), tile_size=16, halo=2)
+        (out,) = apply_tiled(lambda p, window: (p * 3 + 1,), (x,), tile_size=16, halo=2)
         assert np.array_equal(out, x * 3 + 1)
 
     def test_halo_covers_receptive_field(self, rng):
         # a box blur of radius 2 needs halo >= 2 to match the untiled result
         x = rng.normal(0, 1, (1, 1, 20, 20))
-        (out,) = apply_tiled(lambda p: (_blur(p),), (x,), tile_size=7, halo=2)
+        (out,) = apply_tiled(lambda p, window: (_blur(p),), (x,), tile_size=7, halo=2)
         assert np.allclose(out, _blur(x))
+
+    @pytest.mark.parametrize("tile_size", [1, 3, 7, 20])
+    def test_outputs_shrunk_on_halo_sides_are_placed_by_their_shape(self, rng, tile_size):
+        # the blur's pixels within 2 of a halo side read zeros, not context:
+        # dropping them leaves an output 2 smaller on each halo side
+        x = rng.normal(0, 1, (1, 1, 20, 23))
+
+        def fn(p, window):
+            h, w = p.shape[2:]
+            top, bottom, left, right = (2 * halo for halo in window)
+            return (_blur(p)[:, :, top : h - bottom, left : w - right],)
+
+        (out,) = apply_tiled(fn, (x,), tile_size=tile_size, halo=2)
+        assert np.array_equal(out, _blur(x))
 
     def test_inputs_and_outputs_stitch_at_their_own_dtypes(self, rng):
         # the DeGlow step's shape: a float64 image and float32 features in,
@@ -208,7 +263,7 @@ class TestApplyTiled:
         image = rng.normal(0, 1, (1, 3, 30, 50))
         feats = rng.normal(0, 1, (1, 5, 30, 50)).astype(np.float32)
 
-        def fn(a, f):
+        def fn(a, f, window=WHOLE):
             return _blur(a) + f[:, :1], 2 * f + _blur(f)
 
         whole = fn(image, feats)
@@ -224,7 +279,7 @@ class TestApplyTiled:
         x = rng.normal(0, 1, (1, 3, 20, 20))
         seen = []
 
-        def fn(a, f):
+        def fn(a, f, window):
             seen.append(f)
             return (a + 1,)
 
