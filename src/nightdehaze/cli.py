@@ -214,6 +214,8 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
 
 
 def cmd_run(args):
+    if args.threads < 1:
+        raise ParameterError(f"--threads must be >= 1, got {args.threads}")
     inputs = []
     for item in args.inputs:
         if os.path.isdir(item):

@@ -10,12 +10,18 @@ The forward pass lowers its input to patch columns one band of output rows
 at a time, so the patch matrix it multiplies stays in cache instead of
 growing to 9*C*H*W values; a band's pixels go through the same matmul
 kernels in the same K order as a whole image's, so the output bytes do not
-depend on the band height.  The backward pass works one image at a time:
+depend on the band height.  Each band is finished while it is in cache: the
+bias is added to its product in place and, for a conv that carries the ReLU
+after it (`relu=True`), the product is rectified there too, before one copy
+into the output; the autodiff wrapper then records the ReLU's sign mask, not
+the pre-activation.  The columns and product buffers are made once per conv
+and reused by every band.  The backward pass works one image at a time:
 grad-weights from that image's patch columns, and grad-input from columns
 laid on the padded-width grid, which scatter back as one contiguous slice
 add per tap.  Both give the same bytes as lowering the whole batch at once.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,14 +89,16 @@ def _padded(x, params, pads):
     return xp, pads, h, w
 
 
-def _im2col(xp, k, dilation, col_block=1):
+def _im2col(xp, k, dilation, col_block, out):
     """N x (C*k*k) x (H*W) patch columns of a zero-padded input `xp`, which
     is (k-1)*dilation pixels taller and wider than the H x W output,
-    zero-padded to a multiple of `col_block` columns."""
+    zero-padded to a multiple of `col_block` columns: a view of the leading
+    values of the flat array `out`, which they are written into."""
     n, c, hp, wp = xp.shape
     h, w = hp - (k - 1) * dilation, wp - (k - 1) * dilation
     hw = h * w
-    buf = np.empty((n, c * k * k, -(-hw // col_block) * col_block), dtype=xp.dtype)
+    shape = (n, c * k * k, -(-hw // col_block) * col_block)
+    buf = out[: math.prod(shape)].reshape(shape)
     buf[:, :, hw:] = 0
     # tap (ky, kx) of output (y, x) is xp[..., y + ky*dilation, x + kx*dilation]:
     # one strided view of all k*k taps, copied in a single assignment
@@ -123,12 +131,22 @@ def _col2im(gcols, padded_shape, k, dilation):
     return flat[:, : hp * wp].reshape(c, hp, wp)
 
 
-def dilated_conv2d(x, params, pads=None):
+def rectify(x, out):
+    """ReLU of `x` written into `out`: the values of np.where(x > 0, x, 0)
+    for every input, -0.0, NaN and -inf included, without its mask.  fmax
+    maps NaN to 0 but may keep a -0.0; adding +0.0 turns that into +0.0."""
+    np.fmax(x, 0, out=out)
+    out += 0
+    return out
+
+
+def dilated_conv2d(x, params, pads=None, relu=False):
     """Dilated convolution of `x` zero-padded by `pads` = (top, bottom,
     left, right), by default the radius on every side: a same-size
     convolution whose out-of-range taps read zero.  A side padded by less
     than the radius shrinks the output by the difference there, so every
-    tap of its pixels lies in the padded input."""
+    tap of its pixels lies in the padded input.  With `relu` the output is
+    rectified (see `rectify`), band by band."""
     x = np.asarray(x)
     if x.ndim != 4:
         raise DimensionError(f"input must be N x C x H x W, got shape {x.shape}")
@@ -139,19 +157,25 @@ def dilated_conv2d(x, params, pads=None):
     span = (k - 1) * params.dilation
     xp, _, h, w = _padded(x, params, pads)
     wm = params.weights.reshape(o, -1)
-    bias = params.bias.astype(x.dtype)[None, :, None, None]
     out = np.empty((n, o, h, w), dtype=np.result_type(wm, x))
-    rows = max(1, BAND_BYTES // max(1, n * c * k * k * x.dtype.itemsize * w))
+    rows = max(1, min(h, BAND_BYTES // max(1, n * c * k * k * x.dtype.itemsize * w)))
+    width = -(-rows * w // COL_BLOCK) * COL_BLOCK
+    # one pair of buffers for every band, each band viewing their leading
+    # values.  The bias goes into the contiguous product as a column, not
+    # into the strided output band: an (O, width) block of it was no faster
+    # per conv and raised tiled inference's peak RSS by 0.5-1 MB.
+    cols = np.empty(n * c * k * k * width, dtype=x.dtype)
+    prod = np.empty(n * o * width, dtype=out.dtype)
+    bias = params.bias.astype(x.dtype)[:, None]
     for y in range(0, h, rows):
         band = min(rows, h - y)
-        cols = _im2col(xp[:, :, y : y + band + span], k, params.dilation, COL_BLOCK)
-        prod = np.matmul(wm, cols)[:, :, : band * w].reshape(n, o, band, w)
-        np.add(prod, bias, out=out[:, :, y : y + band])
-        # freed before the next band's are made, so the heap hands the same
-        # blocks back instead of growing: without this a fresh process's
-        # first tiled 320x240 image took 101k page faults, against 34k with
-        # it and 13k with one whole-image patch matrix
-        del cols, prod
+        cols_y = _im2col(xp[:, :, y : y + band + span], k, params.dilation, COL_BLOCK, cols)
+        width_y = cols_y.shape[2]
+        prod_y = np.matmul(wm, cols_y, out=prod[: n * o * width_y].reshape(n, o, width_y))
+        prod_y += bias
+        if relu:
+            rectify(prod_y, prod_y)
+        out[:, :, y : y + band] = prod_y[:, :, : band * w].reshape(n, o, band, w)
     return out
 
 
@@ -181,9 +205,10 @@ def dilated_conv2d_backward(x, params, grad_out, pads=None):
     grad_input = np.empty(x.shape, dtype=grad_out.dtype)
     g_wide = np.zeros((o, -(-h * wp // COL_BLOCK) * COL_BLOCK), dtype=grad_out.dtype)
     grid = g_wide[:, : h * wp].reshape(o, h, wp)[:, :, :w]
+    cols = np.empty(c * k * k * h * w, dtype=xp.dtype)
     for i in range(n):
-        cols = _im2col(xp[i : i + 1], k, d)
-        grad_weights += grad_out[i].reshape(o, h * w) @ cols[0].T
+        cols_i = _im2col(xp[i : i + 1], k, d, 1, cols)
+        grad_weights += grad_out[i].reshape(o, h * w) @ cols_i[0].T
         grid[...] = grad_out[i]
         gxp = _col2im(wmt @ g_wide, xp.shape[1:], k, d)
         grad_input[i] = gxp[:, top : top + hi, left : left + wi]

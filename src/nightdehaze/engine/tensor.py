@@ -8,8 +8,11 @@ order, accumulates each returned gradient into the parents that require one,
 and releases each node as it goes.  Inside `no_grad()` ops record nothing,
 so intermediates are freed as soon as the next op has read them; the switch
 is per thread.  Constants an op depends on sit on the tape as parents whose
-gradient is None; relu records its sign mask that way, so a gradient check
-can tell from two tapes whether a perturbation crossed a kink.  Ops compute
+gradient is None; a rectified output (relu, or a conv that carries its ReLU
+with `relu=True`) records its sign mask that way, and only while a tape is
+recorded, so a gradient check can tell from two tapes whether a perturbation
+crossed a kink.  A fused conv keeps that mask instead of its pre-activation
+output, which no adjoint reads.  Ops compute
 at their operands' numpy dtype: float32 is the training and inference
 dtype, and the same code paths accept float64 for finite-difference
 verification.
@@ -21,7 +24,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..errors import DataError, DimensionError
-from .kernels import ConvParams, dilated_conv2d, dilated_conv2d_backward
+from .kernels import ConvParams, dilated_conv2d, dilated_conv2d_backward, rectify
 
 
 class Tensor:
@@ -141,6 +144,17 @@ def _make(data, parents, backward):
     return out
 
 
+def _rectified(data, parents, backward):
+    """`data`, a ReLU's output, made like `_make` with the ReLU's sign mask as
+    one more, constant parent: a gradient check reads it off the tape.
+    `backward` is the adjoint of the op before the ReLU, and gets the
+    gradient masked.  Without a tape no mask is computed."""
+    if not (_TAPE.enabled and _needs(*parents)):
+        return Tensor(data)
+    mask = data > 0
+    return _make(data, (*parents, Tensor(mask)), lambda g: (*backward(g * mask), None))
+
+
 def astype(a, dtype):
     """Cast to `dtype`; returns `a` itself when it already has that dtype."""
     a = _wrap(a)
@@ -188,9 +202,7 @@ def mul(a, b):
 
 def relu(a):
     a = _wrap(a)
-    mask = a.data > 0
-    # the mask is a constant parent: a gradient check reads it off the tape
-    return _make(np.where(mask, a.data, 0), (a, Tensor(mask)), lambda g: (g * mask, None))
+    return _rectified(rectify(a.data, np.empty_like(a.data)), (a,), lambda g: (g,))
 
 
 def sigmoid(a):
@@ -266,17 +278,20 @@ def channel_softmax(a):
     return _make(p, (a,), backward)
 
 
-def conv2d(x, weight, bias, dilation=1, pads=None):
+def conv2d(x, weight, bias, dilation=1, pads=None, relu=False):
     """Autodiff dilated convolution; weight (O,I,k,k), bias (O,).  `pads`
     (top, bottom, left, right) as in `dilated_conv2d`, by default the
-    radius on every side."""
+    radius on every side.  With `relu` the output is rectified in the same
+    pass, with the bytes of relu(conv2d(...)) and its gradients."""
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     params = ConvParams(weights=weight.data, bias=bias.data, dilation=dilation)
-    out = dilated_conv2d(x.data, params, pads)
-    # looked up at call time, so a wrapper installed on the module sees it
-    return _make(
-        out, (x, weight, bias), lambda g: dilated_conv2d_backward(x.data, params, g, pads)
-    )
+    out = dilated_conv2d(x.data, params, pads, relu)
+
+    def backward(g):
+        # looked up at call time, so a wrapper installed on the module sees it
+        return dilated_conv2d_backward(x.data, params, g, pads)
+
+    return (_rectified if relu else _make)(out, (x, weight, bias), backward)
 
 
 def crop(a, top, bottom, left, right):

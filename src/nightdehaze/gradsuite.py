@@ -186,4 +186,15 @@ def run_gradient_suite(seed=0):
         return tsum(mul(crop(conv2d(x, w, b, 2, (0, 2, 1, 0)), 1, 0, 0, 2), cot))
 
     results.append(("dilated_conv2d windowed DF=2", check(windowed_loss, [x, w, b], 24)))
+
+    # a conv that carries its ReLU: the adjoint masks the gradient before the
+    # conv's, and the mask it keeps on the tape is what the kink test compares
+    x, w, b = _leaves(
+        rng.normal(0, 1, (1, 4, 8, 8)), rng.normal(0, 0.5, (3, 4, 3, 3)), rng.normal(0, 0.5, 3)
+    )
+    cot = Tensor(rng.normal(0, 1, (1, 3, 8, 8)))
+    results.append((
+        "dilated_conv2d relu DF=2",
+        check(lambda: tsum(mul(conv2d(x, w, b, 2, relu=True), cot)), [x, w, b], 24),
+    ))
     return results

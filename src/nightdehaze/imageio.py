@@ -78,6 +78,8 @@ def _read_pnm(path, magic, maxvals, channels):
         fields.append(int(token))
     pos += 1  # single whitespace byte after maxval
     w, h, maxval = fields
+    if w == 0 or h == 0:
+        raise DataError(f"{path}: image is {w}x{h}; width and height must be >= 1")
     if maxval not in maxvals:
         raise DataError(f"{path}: unsupported maxval {maxval} for {magic.decode()}")
     body = w * h * channels * (2 if maxval > 255 else 1)

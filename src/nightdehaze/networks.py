@@ -34,7 +34,6 @@ from .engine import (
     mean,
     mse,
     mul,
-    relu,
     save_checkpoint,
     sigmoid,
     split_channels,
@@ -65,10 +64,12 @@ class LossConfig:
 
 
 class Conv:
-    """A single conv layer owning its weight/bias tensors."""
+    """A single conv layer owning its weight/bias tensors, and the ReLU that
+    follows it when `relu` is set."""
 
-    def __init__(self, in_channels, out_channels, dilation=1, kernel=3):
+    def __init__(self, in_channels, out_channels, dilation=1, kernel=3, relu=False):
         self.dilation = dilation
+        self.relu = relu
         self.weight = Tensor(
             np.zeros((out_channels, in_channels, kernel, kernel), dtype=np.float32),
             requires_grad=True,
@@ -81,7 +82,7 @@ class Conv:
 
     def __call__(self, x, window=WHOLE):
         pads = tuple(0 if halo else self.radius for halo in window)
-        return conv2d(x, self.weight, self.bias, self.dilation, pads)
+        return conv2d(x, self.weight, self.bias, self.dilation, pads, self.relu)
 
     @property
     def radius(self):
@@ -121,18 +122,18 @@ class ContextualDilatedBlock:
         if features < 1:
             raise ParameterError(f"features must be >= 1, got {features}")
         self.features = features
-        self.entry = [Conv(in_channels, features), Conv(features, features)]
+        self.entry = [Conv(in_channels, features, relu=True), Conv(features, features, relu=True)]
         self.paths = [
-            [Conv(features, features, dilation=d) for _ in range(CONVS_PER_PATH)]
+            [Conv(features, features, dilation=d, relu=True) for _ in range(CONVS_PER_PATH)]
             for d in PATH_DILATIONS
         ]
-        self.fuse = Conv(features, features)
+        self.fuse = Conv(features, features, relu=True)
         self.gate = Conv(features, features, kernel=1) if feedback else None
 
     def __call__(self, x, prev_features=None, window=WHOLE):
         h = x
         for conv in self.entry:
-            h = relu(conv(h, window))
+            h = conv(h, window)
         if prev_features is not None:
             if self.gate is None:
                 raise ParameterError("block built without a feedback path")
@@ -144,9 +145,9 @@ class ContextualDilatedBlock:
         for path in self.paths:
             a = crop(h, *((widest - _radius(path)) * halo for halo in window))
             for conv in path:
-                a = relu(conv(a, window))
+                a = conv(a, window)
             agg = a if agg is None else agg + a
-        return relu(self.fuse(agg, window))
+        return self.fuse(agg, window)
 
     @property
     def radius(self):
@@ -221,7 +222,7 @@ class DeGlowModel(_ModelBase):
         self.tau = tau
         self.block = ContextualDilatedBlock(3, f, feedback=True)
         self.head_glow = Conv(f, 2)
-        self.head_streak = [Conv(f + 1, f), Conv(f, 3)]
+        self.head_streak = [Conv(f + 1, f, relu=True), Conv(f, 3, relu=True)]
         self.head_residual = Conv(f + 1 + 3 + 3, 3)
 
     def _layer_map(self):
@@ -254,10 +255,9 @@ class DeGlowModel(_ModelBase):
         logits = self.head_glow(feats, window)
         probs = channel_softmax(logits)
         glow_prob, _ = split_channels(probs, [1, 1])
-        s = concat_channels(*_meet(window, feats, glow_prob))
-        for conv in self.head_streak[:-1]:
-            s = relu(conv(s, window))
-        streaks = relu(self.head_streak[-1](s, window))
+        streaks = concat_channels(*_meet(window, feats, glow_prob))
+        for conv in self.head_streak:
+            streaks = conv(streaks, window)
         image_s, glow_s, streaks = _meet(window, image, glow_prob, streaks)
         masked = sub(image_s, mul(glow_s, streaks))
         joined = concat_channels(*_meet(window, feats, glow_prob, streaks, masked))

@@ -6,7 +6,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from nightdehaze.engine import Tensor, conv2d, mul, tsum
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -46,3 +49,26 @@ def test_every_benchmark_import_resolves(path, module, name):
     owner = importlib.import_module(module)
     if not hasattr(owner, name):
         importlib.import_module(f"{module}.{name}")  # a submodule the package does not import
+
+
+def test_traced_fused_conv_reports_kernel_spans_and_counts():
+    # the traced benchmark sees the kernels only through the module globals
+    # it wraps; a kernel reached some other way would read as zero work
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(0, 1, (2, 3, 9, 8)), requires_grad=True)
+    weight = Tensor(rng.normal(0, 0.5, (4, 3, 3, 3)), requires_grad=True)
+    bias = Tensor(rng.normal(0, 0.5, 4), requires_grad=True)
+    with spans.instrument(tracer):
+        out = conv2d(x, weight, bias, 2, relu=True)
+        tsum(mul(out, rng.normal(0, 1, out.shape))).backward()
+    # span: [name, start, end, parent index, operation]
+    parents = {
+        tracer.spans[span[3]][0] for span in tracer.spans if span[0] == "kernels.im2col"
+    }
+    assert parents == {"kernels.conv", "kernels.conv_backward"}
+    counts = {}
+    for _, name, value in tracer.counts:
+        counts[name] = counts.get(name, 0) + value
+    assert counts.get("conv_flop", 0) > 0 and counts.get("im2col_bytes", 0) > 0

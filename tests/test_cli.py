@@ -295,6 +295,19 @@ BAD_INPUTS = {
     "non-numeric-ppm-header": ("read-input", lambda t, image, run, data: [
         "run", _write(t / "a.ppm", b"P6\nfour 4\n255\n" + bytes(48)), *run
     ]),
+    # a 0-pixel image used to reach the pipeline and fail on an empty reduction
+    "zero-width-ppm": ("read-input", lambda t, image, run, data: [
+        "run", _write(t / "a.ppm", b"P6\n0 5\n255\n"), *run
+    ]),
+    "zero-size-ppm": ("read-input", lambda t, image, run, data: [
+        "run", _write(t / "a.ppm", b"P6\n0 0\n255\n"), *run
+    ]),
+    "run-threads-zero": ("run", lambda t, image, run, data: [
+        "run", image, *run, "--threads", "0"
+    ]),
+    "run-threads-negative": ("run", lambda t, image, run, data: [
+        "run", image, *run, "--threads", "-3"
+    ]),
     "negative-tile-size": ("pipeline", lambda t, image, run, data: [
         "run", image, *run, "--tile-size", "-4"
     ]),

@@ -37,6 +37,7 @@ from nightdehaze.engine import (
     tsum,
 )
 from nightdehaze.engine import kernels
+from nightdehaze.engine import tensor as tensor_module
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.imageio import write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
@@ -201,11 +202,13 @@ class TestBandedForward:
                     bias=rng.normal(0, 1, o).astype(dtype),
                     dilation=dilation,
                 )
-                heights.clear()
-                out = dilated_conv2d(x, params)
-                assert heights == [rows] * (h // rows) + [h % rows] * (h % rows > 0)
                 expected = conv_reference(x, params)
-                assert out.dtype == expected.dtype and np.array_equal(out, expected)
+                # the fused ReLU rectifies each band's product before it is copied out
+                for relu_, want in ((False, expected), (True, np.where(expected > 0, expected, 0))):
+                    heights.clear()
+                    out = dilated_conv2d(x, params, relu=relu_)
+                    assert heights == [rows] * (h // rows) + [h % rows] * (h % rows > 0)
+                    assert _same_bytes(out, want)
 
 
 class TestDilatedConv2dBackward:
@@ -389,6 +392,92 @@ class TestRelu:
         tsum(relu(x)).backward()
         assert np.array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_on_every_value(self, dtype):
+        # np.fmax(-0.0, 0) may give -0.0, where np.where gives +0.0
+        x = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, -1.5, 2.5, -1e-45], dtype=dtype)
+        assert _same_bytes(relu(Tensor(x)).data, np.where(x > 0, x, 0).astype(dtype))
+
+
+def _fused_case(rng, dtype, n, k, dilation, h, w):
+    """A conv whose pre-activations take every kind of value: output
+    channel 0 multiplies inputs and weights so small that each product
+    underflows, to -0.0 where the matmul rounds a fused multiply-add, kept
+    by a bias of -0.0; +-inf and NaN inputs spread +-inf and NaN through
+    every channel; the other channels' biases give ordinary values of both
+    signs."""
+    tiny = np.finfo(dtype).tiny ** 0.75
+    x = tiny * np.abs(rng.normal(0, 1, (n, 3, h, w))).astype(dtype)
+    x[0, 0, 1, 2], x[-1, 1, h // 2, w // 2], x[-1, 2, h - 1, 0] = np.inf, -np.inf, np.nan
+    weight = rng.normal(0, 0.3, (4, 3, k, k)).astype(dtype)
+    weight[0] = -tiny
+    bias = rng.normal(0, 1, 4).astype(dtype)
+    bias[0] = -0.0
+    return [Tensor(a, requires_grad=True) for a in (x, weight, bias)]
+
+
+class TestFusedRelu:
+    """conv2d(..., relu=True) is relu(conv2d(...)) in one op: the same bytes
+    forward and backward, with only the ReLU's mask on the tape."""
+
+    # the NaN and inf inputs make NaN weight gradients
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, dilation", [(1, 1), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("sides", [(1, 1, 1, 1), (0, 1, 1, 0), (1, 0, 0, 1), (0, 0, 1, 1)])
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_matches_relu_of_conv(self, rng, monkeypatch, dtype, k, dilation, sides, rows):
+        r = (k // 2) * dilation
+        pads = tuple(side * r for side in sides)
+        h, w = 23, 29
+        # bands of about `rows` output rows, as in TestBandedForward
+        row_bytes = 8 * 3 * k * k * np.dtype(dtype).itemsize * w
+        monkeypatch.setattr(kernels, "BAND_BYTES", rows * row_bytes + row_bytes // 2)
+        leaves = x, weight, bias = _fused_case(rng, dtype, 8, k, dilation, h, w)
+        pre = dilated_conv2d(x.data, ConvParams(weight.data, bias.data, dilation), pads)
+        assert np.isnan(pre).any() and np.isposinf(pre).any() and np.isneginf(pre).any()
+        cot = rng.normal(0, 1, pre.shape).astype(dtype)
+        results = []
+        for out_of in (
+            lambda: relu(conv2d(x, weight, bias, dilation, pads)),
+            lambda: conv2d(x, weight, bias, dilation, pads, relu=True),
+        ):
+            for t in leaves:
+                t.zero_grad()
+            out = out_of()
+            tsum(mul(out, cot)).backward()
+            results.append([out.data] + [t.grad for t in leaves])
+        assert _same_bytes(results[1][0], np.where(pre > 0, pre, 0))
+        for got, want in zip(results[1], results[0]):
+            assert _same_bytes(got, want)
+
+    def test_tape_keeps_the_mask_not_the_pre_activation(self, rng):
+        x, weight, bias = _fused_case(rng, np.float32, 2, 3, 2, 9, 8)
+        out = conv2d(x, weight, bias, 2, relu=True)
+        assert out._parents[:3] == (x, weight, bias) and len(out._parents) == 4
+        mask = out._parents[3]
+        assert mask._backward is None and not mask.requires_grad
+        assert _same_bytes(mask.data, out.data > 0)
+
+    def test_no_mask_without_a_tape(self, rng, monkeypatch):
+        class Compared(np.ndarray):
+            calls = 0
+
+            def __gt__(self, other):
+                Compared.calls += 1
+                return np.ndarray.__gt__(self, other)
+
+        real = tensor_module.dilated_conv2d
+        monkeypatch.setattr(
+            tensor_module, "dilated_conv2d", lambda *args: real(*args).view(Compared)
+        )
+        x, weight, bias = _fused_case(rng, np.float32, 2, 3, 1, 9, 8)
+        with no_grad():
+            out = conv2d(x, weight, bias, relu=True)
+        assert out._parents == () and Compared.calls == 0
+        conv2d(x, weight, bias, relu=True)
+        assert Compared.calls == 1
+
 
 def _conv_case(rng):
     x = Tensor(rng.normal(0, 1, (1, 2, 5, 5)))
@@ -508,6 +597,11 @@ ADJOINT_CASES = {
     "conv2d": lambda x, y: [conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.zeros(2))],
     "conv2d-windowed": lambda x, y: [
         conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.zeros(2), 1, (0, 1, 1, 0))
+    ],
+    # a bias of -10 leaves some outputs of the first channel below the kink
+    "conv2d-relu": lambda x, y: [
+        conv2d(x, Tensor(np.ones((2, 3, 3, 3)), requires_grad=True), np.array([-10.0, 0.0]),
+               relu=True)
     ],
     "crop": lambda x, y: [crop(x, 1, 0, 2, 1)],
     "astype": lambda x, y: [astype(x, np.float32)],

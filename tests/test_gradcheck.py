@@ -129,6 +129,7 @@ class TestGradientSuite:
             "dilated_conv2d DF=2",
             "dilated_conv2d DF=3",
             "dilated_conv2d windowed",
+            "dilated_conv2d relu",
             "relu",
             "concat_channels",
             "mse_loss",
