@@ -267,8 +267,12 @@ def cmd_recover(args):
 
 
 def _stem_map(directory):
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as e:
+        _fail("eval", directory, e)
     out = {}
-    for f in sorted(os.listdir(directory)):
+    for f in names:
         if not f.endswith(".ppm"):
             continue
         stem = f[: -len(".ppm")]

@@ -25,9 +25,9 @@ class OptimizerState:
     velocities: dict = field(default_factory=dict)
 
 
-def gaussian_init(shape, rng, std=INIT_STD, dtype=np.float32):
-    """i.i.d. normal(0, std^2) draws; deterministic for a seeded rng."""
-    return rng.normal(0.0, std, size=shape).astype(dtype)
+def gaussian_init(shape, rng, std=INIT_STD):
+    """i.i.d. normal(0, std^2) float32 draws; deterministic for a seeded rng."""
+    return rng.normal(0.0, std, size=shape).astype(np.float32)
 
 
 def sgd_step(params, grads, state):

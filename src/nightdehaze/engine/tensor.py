@@ -67,20 +67,7 @@ class Tensor:
         second call on the same graph does nothing."""
         if not self.requires_grad:
             return
-        # post-order by an explicit stack: a recursive closure would be a
-        # reference cycle holding the whole tape until the cyclic GC ran
-        order = []
-        seen = {id(self)}
-        stack = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            for p in parents:
-                if id(p) not in seen:
-                    seen.add(id(p))
-                    stack.append((p, iter(p._parents)))
-                    break
-            else:
-                order.append(stack.pop()[0])
+        order = walk(self)
         self._accumulate(np.ones_like(self.data))
         while order:
             node = order.pop()
@@ -96,6 +83,24 @@ class Tensor:
 
     def __add__(self, other):
         return add(self, other)
+
+
+def walk(root):
+    """Every tensor on root's tape once, each after all of its parents, root
+    last.  By an explicit stack: a recursive closure would be a reference
+    cycle holding the whole tape until the cyclic GC ran."""
+    order = []
+    seen = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        for p in stack[-1][1]:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append((p, iter(p._parents)))
+                break
+        else:
+            order.append(stack.pop()[0])
+    return order
 
 
 def _wrap(x, dtype=None):
@@ -114,7 +119,8 @@ def _wrap2(a, b):
 
 
 def _needs(*tensors):
-    return any(t.requires_grad or t._backward is not None for t in tensors)
+    # only a tensor that requires a gradient has an adjoint: see _make, backward
+    return any(t.requires_grad for t in tensors)
 
 
 class _TapeState(threading.local):
@@ -321,7 +327,7 @@ def mse(pred, target):
     return mean(mul(d, d))
 
 
-def bce(prob, target, eps=1e-7):
+def bce(prob, target):
     """Mean binary cross-entropy of probabilities against a binary target."""
     prob = _wrap(prob)
     target = np.asarray(target.data if isinstance(target, Tensor) else target)
@@ -329,6 +335,6 @@ def bce(prob, target, eps=1e-7):
         raise DimensionError(f"bce shapes differ: {prob.shape} vs {target.shape}")
     if not np.all((target == 0) | (target == 1)):
         raise DataError("bce target must be binary")
-    pos = mul(log(prob, eps), target)
-    neg = mul(log(sub(1.0, prob), eps), 1.0 - target)
+    pos = mul(log(prob, 1e-7), target)  # 1e-7 keeps both logs finite at 0 and 1
+    neg = mul(log(sub(1.0, prob), 1e-7), 1.0 - target)
     return mul(mean(add(pos, neg)), -1.0)

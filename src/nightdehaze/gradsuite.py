@@ -15,6 +15,7 @@ relative error.
 import numpy as np
 
 from .engine import Tensor, bce, concat_channels, conv2d, crop, mse, mul, relu, tsum
+from .engine.tensor import walk
 from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_unroll, dehaze_forward, dehaze_loss
 
 TOLERANCE = 1e-3
@@ -30,18 +31,9 @@ def _cast_model_f64(model):
 
 
 def _constants(root):
-    """The data of every constant on root's tape (a node with no adjoint that
-    is not a leaf being differentiated), in a fixed walk order."""
-    out, seen, stack = [], {id(root)}, [root]
-    while stack:
-        node = stack.pop()
-        if node._backward is None and not node.requires_grad:
-            out.append(node.data)
-        for p in node._parents:
-            if id(p) not in seen:
-                seen.add(id(p))
-                stack.append(p)
-    return out
+    """The data of every constant on root's tape, in walk order: each node
+    that is neither an op's output nor a leaf being differentiated."""
+    return [node.data for node in walk(root) if not node.requires_grad]
 
 
 def _probe(build_loss, data, i):

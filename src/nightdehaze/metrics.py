@@ -24,10 +24,6 @@ class QualityReport:
     ssim: float
     entries: list = field(default_factory=list)  # (image id, psnr, ssim)
 
-    @property
-    def psnr_infinite(self):
-        return math.isinf(self.psnr_db)
-
 
 def _check_pair(a, b, min_size=1):
     a = np.asarray(a, dtype=np.float64)

@@ -42,6 +42,7 @@ from .engine import (
 from .engine.optim import gaussian_init
 from .errors import CheckpointError, DimensionError, ParameterError
 
+CHANNELS = 3  # both networks read RGB images
 DEFAULT_FEATURES = 16
 DEFAULT_TAU = 3
 # the most recurrences a DeGlow model may have: each one runs the whole block
@@ -115,14 +116,22 @@ def _meet(window, *tensors):
     return [crop(t, *halo_margins(window, t.shape[2:], inner)) for t in tensors]
 
 
+def _image_tensor(image):
+    """`image` as a Tensor, which must be N x 3 x H x W."""
+    image = image if isinstance(image, Tensor) else Tensor(image)
+    if len(image.shape) != 4 or image.shape[1] != CHANNELS:
+        raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
+    return image
+
+
 class ContextualDilatedBlock:
     """Entry convs + three dilated paths + fusion; optional recurrence feedback."""
 
-    def __init__(self, in_channels=3, features=DEFAULT_FEATURES, feedback=True):
+    def __init__(self, features=DEFAULT_FEATURES, feedback=True):
         if features < 1:
             raise ParameterError(f"features must be >= 1, got {features}")
         self.features = features
-        self.entry = [Conv(in_channels, features, relu=True), Conv(features, features, relu=True)]
+        self.entry = [Conv(CHANNELS, features, relu=True), Conv(features, features, relu=True)]
         self.paths = [
             [Conv(features, features, dilation=d, relu=True) for _ in range(CONVS_PER_PATH)]
             for d in PATH_DILATIONS
@@ -220,7 +229,7 @@ class DeGlowModel(_ModelBase):
         f = features
         self.features = features
         self.tau = tau
-        self.block = ContextualDilatedBlock(3, f, feedback=True)
+        self.block = ContextualDilatedBlock(f, feedback=True)
         self.head_glow = Conv(f, 2)
         self.head_streak = [Conv(f + 1, f, relu=True), Conv(f, 3, relu=True)]
         self.head_residual = Conv(f + 1 + 3 + 3, 3)
@@ -248,9 +257,7 @@ class DeGlowModel(_ModelBase):
         """One recurrence: returns (residual, glow_prob, streaks, features),
         each on its own box: on halo sides of `window` an output is smaller
         than the image by the depth of the chain that made it."""
-        image = image if isinstance(image, Tensor) else Tensor(image)
-        if len(image.shape) != 4 or image.shape[1] != 3:
-            raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
+        image = _image_tensor(image)
         feats = self.block(image, prev_features, window)
         logits = self.head_glow(feats, window)
         probs = channel_softmax(logits)
@@ -328,7 +335,7 @@ class DeHazeModel(_ModelBase):
 
     def __init__(self, features=DEFAULT_FEATURES):
         self.features = features
-        self.block = ContextualDilatedBlock(3, features, feedback=False)
+        self.block = ContextualDilatedBlock(features, feedback=False)
         self.head = Conv(features, 1)
 
     def _layer_map(self):
@@ -345,10 +352,7 @@ def dehaze_forward(image, model, window=WHOLE):
     """Estimate the transmission map of a (deglowed) haze image: a Tensor of
     sigmoid outputs at the weights' dtype, unfloored, smaller than the image
     by `model.receptive_radius()` on each halo side of `window`."""
-    image = image if isinstance(image, Tensor) else Tensor(image)
-    if len(image.shape) != 4 or image.shape[1] != 3:
-        raise DimensionError(f"expected N x 3 x H x W input, got {image.shape}")
-    features = model.block(astype(image, model.dtype), window=window)
+    features = model.block(astype(_image_tensor(image), model.dtype), window=window)
     return sigmoid(model.head(features, window))
 
 
@@ -407,7 +411,7 @@ def load_model(path):
     # the entry pair is (F, 3, 3, 3) then (F, F, 3, 3) in both models, so a
     # model of the stated width is never larger than a constant times the file
     entry = {
-        "block.entry0.weight": (features, 3, 3, 3),
+        "block.entry0.weight": (features, CHANNELS, 3, 3),
         "block.entry1.weight": (features, features, 3, 3),
     }
     for name, shape in entry.items():

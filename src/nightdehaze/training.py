@@ -16,7 +16,6 @@ from .engine import OptimizerState, no_grad, sgd_step
 from .errors import ParameterError, TrainingDiverged
 from .imageio import read_pgm, read_ppm
 from .networks import (
-    LossConfig,
     deglow_loss,
     deglow_unroll,
     dehaze_forward,
@@ -194,12 +193,11 @@ def load_samples_from_manifest(data_dir, kind):
 
 
 def train_deglow(model, dataset, schedule, loss_config=None, val_set=None, checkpoint_dir=None):
-    cfg = loss_config or LossConfig()
     return train(
         model,
         dataset,
         schedule,
-        lambda m, b: deglow_batch_loss(m, b, cfg),
+        lambda m, b: deglow_batch_loss(m, b, loss_config),
         val_set=val_set,
         checkpoint_dir=checkpoint_dir,
     )

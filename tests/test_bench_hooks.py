@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nightdehaze.engine import Tensor, conv2d, mul, tsum
+from nightdehaze.engine import Tensor, add, conv2d, mul, relu, tsum
+from nightdehaze.engine.tensor import walk
+from nightdehaze.networks import DeGlowModel, deglow_loss, deglow_unroll
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -72,3 +74,35 @@ def test_traced_fused_conv_reports_kernel_spans_and_counts():
     for _, name, value in tracer.counts:
         counts[name] = counts.get(name, 0) + value
     assert counts.get("conv_flop", 0) > 0 and counts.get("im2col_bytes", 0) > 0
+
+
+def _diamond():
+    x = Tensor(np.arange(4.0), requires_grad=True)
+    shared = relu(x)
+    return add(mul(shared, 2.0), mul(shared, 3.0))
+
+
+def _deglow_loss_tape():
+    rng = np.random.default_rng(0)
+    model = DeGlowModel(features=4, tau=2).init(rng, std=0.1)
+    image = rng.uniform(0, 1, (1, 3, 8, 8)).astype(np.float32)
+    targets = {
+        "haze": rng.uniform(0, 1, image.shape),
+        "streak": rng.uniform(0, 1, image.shape),
+        "glow": (rng.uniform(0, 1, (1, 1, 8, 8)) > 0.5).astype(np.float32),
+    }
+    _, trace = deglow_unroll(image, model)
+    return deglow_loss(trace, targets)
+
+
+@pytest.mark.parametrize("build", [_diamond, _deglow_loss_tape], ids=["diamond", "deglow-tau2"])
+def test_benchmark_tape_count_is_the_library_walk(build):
+    # perfbench/spans.py counts tape nodes with a walk of its own
+    root = build()
+    order = walk(root)
+    assert _load_spans().tape_nodes(root) == len(order) - 1
+    assert len({id(node) for node in order}) == len(order)
+    assert order[-1] is root
+    position = {id(node): i for i, node in enumerate(order)}
+    for i, node in enumerate(order):
+        assert all(position[id(p)] < i for p in node._parents)

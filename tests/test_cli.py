@@ -414,6 +414,13 @@ BAD_INPUTS = {
     "eval-out-is-directory": ("write-output", lambda t, image, run, data: [
         "eval", "--pred", data, "--truth", data, "--out", str(t)
     ]),
+    # the directories used to be listed outside any error handling
+    "eval-pred-missing": ("eval", lambda t, image, run, data: [
+        "eval", "--pred", str(t / "missing"), "--truth", data
+    ]),
+    "eval-truth-is-file": ("eval", lambda t, image, run, data: [
+        "eval", "--pred", data, "--truth", _write(t / "f", "x")
+    ]),
 }
 
 
