@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import Tensor, bce, concat_channels, conv2d, crop, mse, mul, relu, tsum
 from .engine.tensor import walk
-from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_unroll, dehaze_forward, dehaze_loss
+from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_steps, dehaze_forward, dehaze_loss
 
 TOLERANCE = 1e-3
 STEP = 1e-3
@@ -153,8 +153,7 @@ def run_gradient_suite(seed=0):
     cfg = LossConfig(lambda1=0.1, lambda2=0.05)
 
     def unroll_loss():
-        _, trace = deglow_unroll(image, model)
-        return deglow_loss(trace, targets, cfg)
+        return deglow_loss(deglow_steps(image, model, model.step), targets, cfg)
 
     results.append(("deglow_loss (tau=2 unroll)", _check_model(unroll_loss, model, image)))
 

@@ -280,31 +280,36 @@ class UnrollStep:
     restored: Tensor  # J_t = I_t - residual
 
 
-def deglow_unroll(image, model, step=None):
+def deglow_steps(image, model, step):
     """Iterate J_t = I_t - eps_t for the model's `tau` steps, feeding J_t back
-    as the next input.
+    as the next input, and yield each step's `UnrollStep` as it finishes.
 
     Each step runs at the weights' dtype; J_t keeps the image's dtype, so a
     zero residual leaves a float64 image bit-exact.  `step(image,
-    prev_features)` computes one recurrence's outputs like `model.step`, its
-    default; the tiled pipeline passes one that runs `model.step` per tile.
-
-    Returns (final restored image, list of per-step outputs).
+    prev_features)` computes one recurrence's outputs like `model.step`; the
+    tiled pipeline passes one that runs `model.step` per tile.  No list of
+    steps is kept: a step that its consumer drops is freed once the next
+    step has returned.
     """
-    step = step or model.step
     current = image if isinstance(image, Tensor) else Tensor(image)
     feats = None
-    trace = []
     for _ in range(model.tau):
         residual, glow_prob, streaks, feats = step(astype(current, model.dtype), feats)
-        restored = sub(current, residual)
-        trace.append(UnrollStep(residual, glow_prob, streaks, restored))
-        current = restored
-    return current, trace
+        current = sub(current, residual)
+        yield UnrollStep(residual, glow_prob, streaks, current)
 
 
-def deglow_loss(trace, targets, config=None):
-    """Joint per-step loss summed over the unroll.
+def deglow_unroll(image, model, step=None):
+    """Run `deglow_steps` to the end, by default with `model.step`: (final
+    restored image, last step)."""
+    for last in deglow_steps(image, model, step or model.step):
+        pass
+    return last.restored, last
+
+
+def deglow_loss(steps, targets, config=None):
+    """Joint per-step loss summed over the unroll's `UnrollStep`s, e.g.
+    `deglow_steps(...)`.
 
     targets: dict with 'haze' (N,3,H,W), 'streak' (N,3,H,W) and binary
     'glow' (N,1,H,W).  Per step: reconstruction MSE, plus lambda1 times the
@@ -318,7 +323,7 @@ def deglow_loss(trace, targets, config=None):
     if not np.all((g_true == 0) | (g_true == 1)):
         raise ParameterError("glow target must be binary")
     total = None
-    for step in trace:
+    for step in steps:
         direct = mse(step.restored, j_true)
         prior = mse(step.streaks, s_true) + mse(step.restored, j_true)
         glow = bce(step.glow_prob, g_true)

@@ -17,7 +17,7 @@ from .errors import ParameterError, TrainingDiverged
 from .imageio import read_pgm, read_ppm
 from .networks import (
     deglow_loss,
-    deglow_unroll,
+    deglow_steps,
     dehaze_forward,
     dehaze_loss,
     save_model,
@@ -42,6 +42,9 @@ class TrainSchedule:
             raise ParameterError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
+        for key in ("val_interval", "checkpoint_interval"):
+            if getattr(self, key) < 1:
+                raise ParameterError(f"{key} must be >= 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -53,8 +56,7 @@ class TrainResult:
 
 
 def deglow_batch_loss(model, batch, loss_config=None):
-    _, trace = deglow_unroll(batch["observed"], model)
-    return deglow_loss(trace, batch, loss_config)
+    return deglow_loss(deglow_steps(batch["observed"], model, model.step), batch, loss_config)
 
 
 def dehaze_batch_loss(model, batch):

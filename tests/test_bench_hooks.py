@@ -11,7 +11,7 @@ import pytest
 
 from nightdehaze.engine import Tensor, add, conv2d, mul, relu, tsum
 from nightdehaze.engine.tensor import walk
-from nightdehaze.networks import DeGlowModel, deglow_loss, deglow_unroll
+from nightdehaze.networks import DeGlowModel, deglow_loss, deglow_steps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -91,8 +91,7 @@ def _deglow_loss_tape():
         "streak": rng.uniform(0, 1, image.shape),
         "glow": (rng.uniform(0, 1, (1, 1, 8, 8)) > 0.5).astype(np.float32),
     }
-    _, trace = deglow_unroll(image, model)
-    return deglow_loss(trace, targets)
+    return deglow_loss(deglow_steps(image, model, model.step), targets)
 
 
 @pytest.mark.parametrize("build", [_diamond, _deglow_loss_tape], ids=["diamond", "deglow-tau2"])

@@ -394,6 +394,15 @@ BAD_INPUTS = {
         "train-dehaze", "--data", data, "--out", str(t / "o"),
         "--config", _write(t / "c.cfg", "[training]\nlearning_rate = 1e12\n"),
     ]),
+    # each interval is the divisor of an iteration-count modulo
+    "val-interval-zero": ("train-deglow", lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[training]\nval_interval = 0\n"),
+    ]),
+    "checkpoint-interval-zero": ("train-dehaze", lambda t, image, run, data: [
+        "train-dehaze", "--data", data, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[training]\ncheckpoint_interval = 0\n"),
+    ]),
     # a negative count would train on the first records and validate on the rest
     "train-val-negative": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--val", "-2"

@@ -210,6 +210,37 @@ class TestBandedForward:
                     assert heights == [rows] * (h // rows) + [h % rows] * (h % rows > 0)
                     assert _same_bytes(out, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_band_slab_matches_padded_copy(self, rng, monkeypatch, dtype, rows):
+        # the padded conv copies each band's rows into a slab; the oracle pads
+        # the whole input with _pad and lowers each band of that copy, as an
+        # unpadded conv of the copy does
+        pad = kernels._pad
+        for _ in range(60):
+            n, c, o = rng.integers(1, 4), rng.integers(1, 17), rng.integers(1, 17)
+            k = int(rng.choice([1, 3]))
+            dilation = int(rng.integers(1, 4))
+            span = (k - 1) * dilation
+            pads = tuple(int(p) for p in rng.integers(0, span // 2 + 1, 4))
+            h = max(int(rng.integers(1, 60)), span + 1 - pads[0] - pads[1])
+            w = max(int(rng.integers(1, 60)), span + 1 - pads[2] - pads[3])
+            row_bytes = n * c * k * k * np.dtype(dtype).itemsize * (w + pads[2] + pads[3] - span)
+            budget = rows * row_bytes + row_bytes // 2 if rows > 1 else row_bytes - 1
+            monkeypatch.setattr(kernels, "BAND_BYTES", budget)
+            x = rng.normal(0, 1, (n, c, h, w)).astype(dtype)
+            params = ConvParams(
+                weights=rng.normal(0, 0.3, (o, c, k, k)).astype(dtype),
+                bias=rng.normal(0, 1, o).astype(dtype),
+                dilation=dilation,
+            )
+            for relu_ in (False, True):
+                want = dilated_conv2d(pad(x, pads), params, (0, 0, 0, 0), relu_)
+                monkeypatch.setattr(kernels, "_pad", None)  # no whole padded copy
+                got = dilated_conv2d(x, params, pads, relu_)
+                monkeypatch.setattr(kernels, "_pad", pad)
+                assert _same_bytes(got, want), (n, c, o, k, dilation, pads, h, w, relu_)
+
 
 class TestDilatedConv2dBackward:
     def test_zero_cotangent(self, rng):

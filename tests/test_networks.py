@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from nightdehaze.engine import Tensor
+from nightdehaze.engine import Tensor, no_grad
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.networks import (
     MAX_TAU,
@@ -10,6 +12,7 @@ from nightdehaze.networks import (
     LossConfig,
     UnrollStep,
     deglow_loss,
+    deglow_steps,
     deglow_unroll,
     dehaze_forward,
     dehaze_loss,
@@ -63,15 +66,15 @@ class TestDeGlowStep:
 class TestDeGlowUnroll:
     def test_zero_model_is_identity(self, image):
         model = DeGlowModel(features=8, tau=3)
-        final, trace = deglow_unroll(image, model)
-        assert np.array_equal(final.data, image.data)
-        assert len(trace) == 3
+        steps = list(deglow_steps(image, model, model.step))
+        assert np.array_equal(steps[-1].restored.data, image.data)
+        assert len(steps) == 3
 
     def test_single_step(self, rng, image):
         model = DeGlowModel(features=8, tau=1).init(rng, std=0.1)
-        final, trace = deglow_unroll(image, model)
-        assert len(trace) == 1
-        assert np.allclose(final.data, image.data - trace[0].residual.data)
+        steps = list(deglow_steps(image, model, model.step))
+        assert len(steps) == 1
+        assert np.allclose(steps[0].restored.data, image.data - steps[0].residual.data)
 
     def test_scripted_constant_residual(self, image):
         class Scripted(DeGlowModel):
@@ -86,9 +89,40 @@ class TestDeGlowUnroll:
 
     def test_telescoping_sum(self, rng, image):
         model = DeGlowModel(features=8, tau=3).init(rng, std=0.1)
-        final, trace = deglow_unroll(image, model)
-        total = sum(step.residual.data for step in trace)
-        assert np.max(np.abs(final.data - (image.data - total))) < 1e-6
+        steps = list(deglow_steps(image, model, model.step))
+        total = sum(step.residual.data for step in steps)
+        assert np.max(np.abs(steps[-1].restored.data - (image.data - total))) < 1e-6
+
+    def test_unroll_returns_the_last_step(self, rng, image):
+        model = DeGlowModel(features=8, tau=3).init(rng, std=0.1)
+        final, last = deglow_unroll(image, model)
+        want = list(deglow_steps(image, model, model.step))[-1]
+        assert final is last.restored
+        for name in ("residual", "glow_prob", "streaks", "restored"):
+            assert getattr(last, name).data.tobytes() == getattr(want, name).data.tobytes()
+
+    def test_finished_steps_are_released(self, image):
+        # while step t runs, no output of step t - 2 may still be alive: the
+        # unroll keeps the last step, not the trace of every step
+        alive_at_step = []
+        outputs = []
+
+        def step(img, prev_features):
+            alive = [any(r() is not None for r in refs) for refs in outputs[:-1]]
+            alive_at_step.append([t for t, held in enumerate(alive) if held])
+            arrays = [
+                np.full_like(img.data, 0.01),
+                np.full_like(img.data[:, :1], 0.5),
+                np.zeros_like(img.data),
+                np.zeros((1, 8) + img.shape[2:], np.float32),
+            ]
+            outputs.append([weakref.ref(a) for a in arrays])
+            return [Tensor(a) for a in arrays]
+
+        with no_grad():
+            final, _ = deglow_unroll(image, DeGlowModel(features=8, tau=4), step=step)
+        assert alive_at_step == [[]] * 4
+        assert np.allclose(final.data, image.data - 4 * 0.01, atol=1e-6)
 
 
 class TestDeGlowLoss:
@@ -161,8 +195,8 @@ class TestDeGlowLoss:
     def test_loss_nonnegative(self, rng):
         model = DeGlowModel(features=8, tau=2).init(rng, std=0.1)
         image = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)).astype(np.float32))
-        _, trace = deglow_unroll(image, model)
-        assert deglow_loss(trace, self._targets(rng)).item() >= 0
+        loss = deglow_loss(deglow_steps(image, model, model.step), self._targets(rng))
+        assert loss.item() >= 0
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ParameterError):
