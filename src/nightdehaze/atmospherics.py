@@ -125,10 +125,16 @@ def estimate_atmospheric_light(t, haze):
     return flat[chosen].copy()
 
 
+def check_t_min(t_min):
+    """Raise ParameterError unless the transmission floor lies inside (0, 1);
+    NaN is outside."""
+    if not 0 < t_min < 1:
+        raise ParameterError(f"t_min must be in (0, 1), got {t_min}")
+
+
 def recover_radiance(haze, t, light, t_min=DEFAULT_T_MIN):
     """Invert the haze blend: R = (J - L * (1 - t')) / t' with t' = max(t, t_min)."""
-    if not 0 < t_min < 1:
-        raise ParameterError(f"t_min must be in (0,1), got {t_min}")
+    check_t_min(t_min)
     haze = _check_image(haze, "haze")
     t = _check_map(t, "t")
     if haze.shape[:2] != t.shape:

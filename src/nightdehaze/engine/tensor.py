@@ -9,13 +9,14 @@ and releases each node as it goes.  Inside `no_grad()` ops record nothing,
 so intermediates are freed as soon as the next op has read them; the switch
 is per thread.  Constants an op depends on sit on the tape as parents whose
 gradient is None; a rectified output (relu, or a conv that carries its ReLU
-with `relu=True`) records its sign mask that way, and only while a tape is
-recorded, so a gradient check can tell from two tapes whether a perturbation
-crossed a kink.  A fused conv keeps that mask instead of its pre-activation
-output, which no adjoint reads.  Ops compute
-at their operands' numpy dtype: float32 is the training and inference
-dtype, and the same code paths accept float64 for finite-difference
-verification.
+with `relu=True`) records its sign mask that way, packed one bit per value,
+and only while a tape is recorded, so a gradient check can tell from two
+tapes whether a perturbation crossed a kink.  A fused conv keeps that mask
+instead of its pre-activation output, which no adjoint reads.  A sum of
+several tensors (`add_n`) is one node, not a chain of partial sums that no
+adjoint reads either.  Ops compute at their operands' numpy dtype: float32
+is the training and inference dtype, and the same code paths accept
+float64 for finite-difference verification.
 """
 
 import threading
@@ -151,14 +152,21 @@ def _make(data, parents, backward):
 
 
 def _rectified(data, parents, backward):
-    """`data`, a ReLU's output, made like `_make` with the ReLU's sign mask as
-    one more, constant parent: a gradient check reads it off the tape.
-    `backward` is the adjoint of the op before the ReLU, and gets the
-    gradient masked.  Without a tape no mask is computed."""
+    """`data`, a ReLU's output, made like `_make` with the ReLU's sign mask,
+    packed one bit per value, as one more, constant parent: a gradient check
+    reads it off the tape, and two masks are equal exactly when their
+    packings are.  `backward` is the adjoint of the op before the ReLU, and
+    gets the gradient masked.  Without a tape no mask is computed."""
     if not (_TAPE.enabled and _needs(*parents)):
         return Tensor(data)
-    mask = data > 0
-    return _make(data, (*parents, Tensor(mask)), lambda g: (*backward(g * mask), None))
+    bits = np.packbits(data > 0, axis=None)
+    shape = data.shape
+
+    def adjoint(g):
+        mask = np.unpackbits(bits, count=g.size).reshape(shape).view(bool)
+        return (*backward(g * mask), None)
+
+    return _make(data, (*parents, Tensor(bits)), adjoint)
 
 
 def astype(a, dtype):
@@ -186,6 +194,28 @@ def add(a, b):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
     return _make(a.data + b.data, (a, b), backward)
+
+
+def add_n(tensors):
+    """The sum of an iterable of same-shape tensors, left to right: the
+    bytes of (t1 + t2) + t3 ..., recorded as one node whose adjoint passes
+    the gradient to every summand.  Without a tape no summand is held once
+    it has been added, so the outputs of a generator are freed one by one."""
+    parents = [] if _TAPE.enabled else None
+    total = None
+    for t in map(_wrap, tensors):
+        if total is None:
+            total = t.data
+        elif t.shape != total.shape:
+            raise DimensionError(f"add_n shapes differ: {total.shape} vs {t.shape}")
+        else:
+            total = total + t.data
+        if parents is not None:
+            parents.append(t)
+        del t  # not held while the next summand is computed
+    if total is None:
+        raise DimensionError("add_n of no tensors")
+    return _make(total, parents or (), lambda g: (g,) * len(parents))
 
 
 def sub(a, b):

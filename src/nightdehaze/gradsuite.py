@@ -14,7 +14,7 @@ relative error.
 
 import numpy as np
 
-from .engine import Tensor, bce, concat_channels, conv2d, crop, mse, mul, relu, tsum
+from .engine import Tensor, add_n, bce, concat_channels, conv2d, crop, mse, mul, relu, tsum
 from .engine.tensor import walk
 from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_steps, dehaze_forward, dehaze_loss
 
@@ -187,5 +187,14 @@ def run_gradient_suite(seed=0):
     results.append((
         "dilated_conv2d relu DF=2",
         check(lambda: tsum(mul(conv2d(x, w, b, 2, relu=True), cot)), [x, w, b], 24),
+    ))
+
+    # a sum of several tensors as one node, fed by a generator as the
+    # contextual block's paths are; last, so that no other case's draws move
+    leaves = _leaves(*(rng.normal(0, 1, (1, 2, 5, 5)) for _ in range(3)))
+    cot = Tensor(rng.normal(0, 1, (1, 2, 5, 5)))
+    results.append((
+        "add_n",
+        check(lambda: tsum(mul(add_n(mul(t, t) for t in leaves), cot)), leaves, 24),
     ))
     return results

@@ -24,6 +24,7 @@ from .engine import (
     INIT_STD,
     Tensor,
     add,
+    add_n,
     astype,
     bce,
     channel_softmax,
@@ -150,13 +151,17 @@ class ContextualDilatedBlock:
         # each path starts from h cropped on its halo sides by the radius it
         # lacks of the widest path's, so that all three end on one box
         widest = max(_radius(path) for path in self.paths)
-        agg = None
-        for path in self.paths:
-            a = crop(h, *((widest - _radius(path)) * halo for halo in window))
-            for conv in path:
-                a = conv(a, window)
-            agg = a if agg is None else agg + a
-        return self.fuse(agg, window)
+
+        def path_outputs():
+            # a generator, so that without a tape each output is freed once
+            # it has been added
+            for path in self.paths:
+                a = crop(h, *((widest - _radius(path)) * halo for halo in window))
+                for conv in path:
+                    a = conv(a, window)
+                yield a
+
+        return self.fuse(add_n(path_outputs()), window)
 
     @property
     def radius(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atmospherics import DEFAULT_T_MIN, estimate_atmospheric_light, recover_radiance
+from .atmospherics import DEFAULT_T_MIN, check_t_min, estimate_atmospheric_light, recover_radiance
 from .engine import Tensor, no_grad
 from .errors import DataError, DimensionError, ParameterError
 from .networks import WHOLE, deglow_unroll, dehaze_forward, halo_margins
@@ -29,6 +29,7 @@ class PipelineConfig:
     tile_size: int = 0  # 0 = no tiling
 
     def __post_init__(self):
+        check_t_min(self.t_min)
         if self.tile_size < 0:
             raise ParameterError(f"tile_size must be >= 0, got {self.tile_size}")
 
@@ -117,6 +118,7 @@ def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_si
     subtraction J_t = I_t - eps_t, atmospheric light and recovery stay
     float64, so an identity glow stage preserves the input bit-exactly.
     """
+    check_t_min(t_min)
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise DimensionError(f"expected H x W x 3 image, got shape {image.shape}")

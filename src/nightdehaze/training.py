@@ -65,8 +65,11 @@ def dehaze_batch_loss(model, batch):
 
 
 def _collate(dataset, indices):
-    keys = dataset[0].keys()
-    return {k: np.stack([dataset[i][k] for i in indices]).astype(np.float32) for k in keys}
+    # np.stack makes a new array, so float32 samples need no second copy
+    return {
+        k: np.stack([dataset[i][k] for i in indices]).astype(np.float32, copy=False)
+        for k in dataset[0]
+    }
 
 
 # a diverging run is reported once, as TrainingDiverged from the finite-loss

@@ -3,7 +3,7 @@
 Each test prints a single `PASS criterion-N ...` (or `FAIL ...`) line with the
 measured quantity, so `pytest tests/test_acceptance.py -v -s` doubles as a
 release report.  Training-based criteria (6, 9, 10) run real SGD at desk
-scale; 6, 8 and 9 run in single-threaded subprocesses.
+scale and are marked `slow`; 6, 8 and 9 run in single-threaded subprocesses.
 """
 
 import os
@@ -237,6 +237,7 @@ print(f"first={first} last={last} gain={float(np.mean(gains))}")
 """
 
 
+@pytest.mark.slow
 def test_criterion_06_training_smoke_and_gain():
     out = _run_py(_TRAIN_GAIN_SCRIPT)
     fields = dict(kv.split("=") for kv in out.split())
@@ -355,6 +356,7 @@ def _full_run(root):
     }
 
 
+@pytest.mark.slow
 def test_criterion_09_end_to_end_determinism(tmp_path):
     first = _full_run(tmp_path / "one")
     second = _full_run(tmp_path / "two")
@@ -367,6 +369,7 @@ def test_criterion_09_end_to_end_determinism(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_overfit_capacity():
     from nightdehaze.engine import Tensor
     from nightdehaze.networks import DeGlowModel, LossConfig, deglow_unroll

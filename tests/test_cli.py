@@ -314,6 +314,13 @@ BAD_INPUTS = {
     "config-tile-size-abc": ("run", lambda t, image, run, data: [
         "run", image, *run, "--config", _write(t / "c.cfg", "[pipeline]\ntile_size = abc\n")
     ]),
+    # rejected as the config is read, before either network runs
+    "config-t-min-nan": ("run", lambda t, image, run, data: [
+        "run", image, *run, "--config", _write(t / "c.cfg", "[pipeline]\nt_min = nan\n")
+    ]),
+    "config-t-min-one": ("run", lambda t, image, run, data: [
+        "run", image, *run, "--config", _write(t / "c.cfg", "[pipeline]\nt_min = 1\n")
+    ]),
     "config-fractional-target-size": ("synth", lambda t, image, run, data: [
         "synth", "--out", str(t / "d"),
         "--config", _write(t / "c.cfg", "[synthesis]\ntarget_size = 32.5, 20\n"),

@@ -14,6 +14,7 @@ from nightdehaze.engine import (
     OptimizerState,
     Tensor,
     add,
+    add_n,
     astype,
     channel_softmax,
     concat_channels,
@@ -410,6 +411,45 @@ class TestConcatSplit:
             split_channels(Tensor(rng.normal(0, 1, (1, 4, 3, 3))), [3, 3])
 
 
+class TestAddN:
+    def test_bytes_of_chained_adds_in_one_node(self, rng):
+        a, b, c = (Tensor(rng.normal(0, 1, (2, 3, 5, 5)).astype(np.float32), requires_grad=True)
+                   for _ in range(3))
+        out = add_n(iter([a, b, c]))
+        assert _same_bytes(out.data, add(add(a, b), c).data)
+        assert out._parents == (a, b, c)
+        tsum(mul(out, rng.normal(0, 1, out.shape))).backward()
+        assert _same_bytes(a.grad, b.grad) and _same_bytes(b.grad, c.grad)
+
+    def test_shape_mismatch_and_no_terms_rejected(self):
+        with pytest.raises(DimensionError):
+            add_n([Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 2)))])
+        with pytest.raises(DimensionError):
+            add_n([])
+
+    def test_no_summand_outlives_its_addition_without_a_tape(self, rng):
+        refs = []
+
+        def summands():
+            for _ in range(4):
+                # the sum is the first summand's own array until the second
+                # is added; every other summand is dropped once added
+                assert sum(r() is not None for r in refs) == (len(refs) == 1)
+                t = Tensor(rng.normal(0, 1, (2, 3)))
+                refs.append(weakref.ref(t.data))
+                yield t
+                del t
+
+        gc.disable()
+        try:
+            with no_grad():
+                out = add_n(summands())
+        finally:
+            gc.enable()
+        assert out._parents == () and len(refs) == 4
+        assert all(r() is None for r in refs)
+
+
 class TestRelu:
     def test_all_negative_is_zero(self):
         assert np.all(relu(Tensor(-np.ones((2, 2, 2, 2)))).data == 0)
@@ -488,7 +528,10 @@ class TestFusedRelu:
         assert out._parents[:3] == (x, weight, bias) and len(out._parents) == 4
         mask = out._parents[3]
         assert mask._backward is None and not mask.requires_grad
-        assert _same_bytes(mask.data, out.data > 0)
+        # packed one bit per value
+        assert mask.data.dtype == np.uint8 and mask.data.size == -(-out.data.size // 8)
+        bits = np.unpackbits(mask.data, count=out.data.size).reshape(out.shape).view(bool)
+        assert _same_bytes(bits, out.data > 0)
 
     def test_no_mask_without_a_tape(self, rng, monkeypatch):
         class Compared(np.ndarray):
@@ -614,6 +657,7 @@ class TestNoGrad:
 # (1 x 3 x 1 x 4, broadcast against x); the constant is a plain array
 ADJOINT_CASES = {
     "add": lambda x, y: [add(x, y)],
+    "add_n": lambda x, y: [add_n(mul(x, k) for k in (1.0, 2.0, 3.0)), add_n([x])],
     "sub": lambda x, y: [sub(x, y)],
     "mul": lambda x, y: [mul(x, y)],
     "mul-constant": lambda x, y: [mul(x, np.full(x.shape, 0.5))],

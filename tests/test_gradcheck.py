@@ -136,6 +136,7 @@ class TestGradientSuite:
             "bce_loss",
             "deglow_step",
             "dehaze_loss",
+            "add_n",
         ):
             assert any(required in n for n in names), f"missing case {required}"
         for name, err in results:

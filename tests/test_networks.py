@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nightdehaze.engine import Tensor, no_grad
+from nightdehaze.engine.tensor import walk
 from nightdehaze.errors import CheckpointError, DimensionError, ParameterError
 from nightdehaze.networks import (
     MAX_TAU,
@@ -201,6 +202,16 @@ class TestDeGlowLoss:
     def test_negative_weights_rejected(self):
         with pytest.raises(ParameterError):
             LossConfig(lambda1=-0.1)
+
+    def test_tape_holds_under_72_feature_maps(self, rng):
+        # the arrays the loss's tape owns, in N x F x H x W float32 maps: 68.3
+        # with one-bit ReLU masks and one node per path sum, 76.3 with a byte
+        # per mask value and a node per pairwise add
+        model = DeGlowModel(features=4, tau=2).init(rng, std=0.1)
+        image = rng.uniform(0, 1, (2, 3, 16, 16)).astype(np.float32)
+        loss = deglow_loss(deglow_steps(image, model, model.step), self._targets(rng, image.shape))
+        owned = sum(t.data.nbytes for t in walk(loss) if t.data.base is None)
+        assert owned / (2 * 4 * 16 * 16 * 4) < 72
 
 
 class TestDeHaze:

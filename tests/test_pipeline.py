@@ -236,6 +236,20 @@ class TestRunPipeline:
         with pytest.raises(ParameterError):
             PipelineConfig(tile_size=-4)
 
+    @pytest.mark.parametrize("t_min", [np.nan, 0.0, 1.0, -0.5])
+    def test_t_min_outside_unit_interval_rejected_before_the_networks(
+        self, models, monkeypatch, t_min
+    ):
+        def no_network(*args, **kwargs):
+            raise AssertionError("a network ran")
+
+        monkeypatch.setattr(pipeline, "deglow_unroll", no_network)
+        observed, *_ = make_scene(8)
+        with pytest.raises(ParameterError, match=r"t_min must be in \(0, 1\)"):
+            run_pipeline(observed, *models, t_min=t_min)
+        with pytest.raises(ParameterError, match=r"t_min must be in \(0, 1\)"):
+            PipelineConfig(t_min=t_min)
+
 
 class TestApplyTiled:
     def test_small_image_bypasses_tiling(self, rng):
