@@ -17,10 +17,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
 from . import metrics, synthesis
+from .atmospherics import recover_radiance
 from .config import default_config, load_config
 from .errors import NightDehazeError, ParameterError
 from .gradsuite import TOLERANCE, run_gradient_suite
@@ -66,10 +68,10 @@ def build_parser():
         p.add_argument("--data", required=True, help="dataset directory with manifest.txt")
         p.add_argument("--out", required=True, help="checkpoint output directory")
         p.add_argument("--seed", type=int, help="override training seed")
-        p.add_argument("--features", type=int, help="feature channel width")
+        p.add_argument("--features", type=int, default=DEFAULT_FEATURES, help="feature channels")
         p.add_argument("--val", type=int, default=0, help="hold out last N records for validation")
         if name == "train-deglow":
-            p.add_argument("--tau", type=int, help="recurrence count")
+            p.add_argument("--tau", type=int, default=DEFAULT_TAU, help="recurrence count")
 
     p = sub.add_parser("run", help="dehaze images end to end")
     p.add_argument("inputs", nargs="+", help="input .ppm files or a directory")
@@ -102,7 +104,7 @@ def build_parser():
 def cmd_synth(args):
     cfg = (load_config(args.config) if args.config else default_config())["synthesis"]
     if args.seed is not None:
-        cfg.rng_seed = args.seed
+        cfg = replace(cfg, rng_seed=args.seed)
     width, height = cfg.target_size
     scene_rng = np.random.default_rng([cfg.rng_seed, 0])
     pairs = [synthesis.procedural_scene(scene_rng, (height, width)) for _ in range(args.pairs)]
@@ -120,7 +122,7 @@ def _cmd_train(args, kind):
     cfgs = load_config(args.config) if args.config else default_config()
     schedule = cfgs["training"]
     if args.seed is not None:
-        schedule.seed = args.seed
+        schedule = replace(schedule, seed=args.seed)
     manifest = os.path.join(args.data, "manifest.txt")
     if not os.path.exists(manifest):
         _fail("load-data", manifest, "manifest not found")
@@ -131,13 +133,11 @@ def _cmd_train(args, kind):
     val = None
     if args.val:
         samples, val = samples[: -args.val], samples[-args.val :]
-    features = DEFAULT_FEATURES if args.features is None else args.features
     rng = np.random.default_rng([schedule.seed, 1])
     if kind == "deglow":
-        tau = DEFAULT_TAU if args.tau is None else args.tau
-        model = DeGlowModel(features=features, tau=tau).init(rng)
+        model = DeGlowModel(features=args.features, tau=args.tau).init(rng)
     else:
-        model = DeHazeModel(features=features).init(rng)
+        model = DeHazeModel(features=args.features).init(rng)
     # an unwritable --out fails here, before any training time is spent
     _make_out_dir(args.out)
     try:
@@ -238,8 +238,6 @@ def cmd_run(args):
 
 
 def cmd_recover(args):
-    from .atmospherics import recover_radiance
-
     try:
         blob = np.load(args.intermediates)
     except (OSError, ValueError) as e:

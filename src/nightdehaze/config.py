@@ -3,7 +3,9 @@
 Each section fills one dataclass: [synthesis], [training], [loss],
 [pipeline].  Every key is optional; missing keys keep the dataclass defaults,
 and a given value is read as the type of its default (a tuple default as two
-comma-separated values of its element type).
+comma-separated values of its element type, a boolean as a configparser
+boolean word).  Each field declares its range beside its default, and a
+value out of range fails as `[section] key must be in <range>, got <value>`.
 """
 
 import configparser
@@ -27,7 +29,10 @@ SECTIONS = {
 def _cast(text, default):
     # bool before int: bool is a subclass of int
     if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes")
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if text.lower() not in states:
+            raise ValueError(f"expected one of {', '.join(states)}, got {text!r}")
+        return states[text.lower()]
     if isinstance(default, tuple):
         parts = [p.strip() for p in text.split(",")]
         if len(parts) != 2:

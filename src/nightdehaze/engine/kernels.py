@@ -242,10 +242,3 @@ def dilated_conv2d_backward(x, params, grad_out, pads=None):
         gxp = _col2im(wmt @ g_wide, (c, hi + top + bottom, wp), k, d)
         grad_input[i] = gxp[:, top : top + hi, left : left + wi]
     return grad_input, grad_weights.reshape(params.weights.shape), grad_bias
-
-
-def receptive_field_extent(num_layers, dilation):
-    """Impulse-response support of num_layers stacked 3x3 convs at one dilation."""
-    if num_layers < 1 or dilation < 1:
-        raise ParameterError("num_layers and dilation must be >= 1")
-    return 1 + num_layers * 2 * dilation

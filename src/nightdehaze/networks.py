@@ -41,7 +41,7 @@ from .engine import (
     sub,
 )
 from .engine.optim import gaussian_init
-from .errors import CheckpointError, DimensionError, ParameterError
+from .errors import CheckpointError, DimensionError, ParameterError, check_fields, ranged
 
 CHANNELS = 3  # both networks read RGB images
 DEFAULT_FEATURES = 16
@@ -57,12 +57,9 @@ WHOLE = (False, False, False, False)
 
 @dataclass
 class LossConfig:
-    lambda1: float = 0.1  # streak/reconstruction prior weight
-    lambda2: float = 0.05  # glow-mask cross-entropy weight
-
-    def __post_init__(self):
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ParameterError("loss weights must be nonnegative")
+    lambda1: float = ranged(0.1, "[0, inf)")  # streak/reconstruction prior weight
+    lambda2: float = ranged(0.05, "[0, inf)")  # glow-mask cross-entropy weight
+    __post_init__ = check_fields
 
 
 class Conv:

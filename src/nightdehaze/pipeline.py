@@ -15,23 +15,17 @@ import numpy as np
 
 from .atmospherics import DEFAULT_T_MIN, check_t_min, estimate_atmospheric_light, recover_radiance
 from .engine import Tensor, no_grad
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError, check_fields, ranged
 from .networks import WHOLE, deglow_unroll, dehaze_forward, halo_margins
-
-STAGES = ("deglow", "dehaze", "atmospheric_light", "recover")
 
 
 @dataclass
 class PipelineConfig:
     deglow_checkpoint: str = ""
     dehaze_checkpoint: str = ""
-    t_min: float = DEFAULT_T_MIN
-    tile_size: int = 0  # 0 = no tiling
-
-    def __post_init__(self):
-        check_t_min(self.t_min)
-        if self.tile_size < 0:
-            raise ParameterError(f"tile_size must be >= 0, got {self.tile_size}")
+    t_min: float = ranged(DEFAULT_T_MIN, "(0, 1)")
+    tile_size: int = ranged(0, "[0, inf)")  # 0 = no tiling
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .atmospherics import GlowField, GlowSource, compose_glow, compose_haze, transmission_from_depth
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_fields, ranged
 from .imageio import bilinear_resize, write_pgm, write_ppm
 
 GLOW_MASK_THRESHOLD = 0.02
@@ -22,26 +22,17 @@ LAYER_KEYS = ("observed", "haze", "transmission", "glow_mask", "streak_sum")
 
 @dataclass
 class SynthesisConfig:
-    beta_range: tuple = (0.5, 1.5)
-    beta_samples_per_image: int = 3
-    q_range: tuple = (0.2, 0.9)
-    q_samples_per_image: int = 3
-    light_range: tuple = (0.5, 1.0)
-    target_size: tuple = (320, 240)  # (width, height)
+    beta_range: tuple = ranged((0.5, 1.5), "(0, inf)")
+    beta_samples_per_image: int = ranged(3, "[1, inf)")
+    q_range: tuple = ranged((0.2, 0.9), "(0, inf)")
+    q_samples_per_image: int = ranged(3, "[1, inf)")
+    light_range: tuple = ranged((0.5, 1.0), "[0, 1]")
+    target_size: tuple = ranged((320, 240), "[16, inf)")  # (width, height)
     use_taylor_glow: bool = False
-    sources_per_image_range: tuple = (1, 5)
-    glow_radius_range: tuple = (10.0, 60.0)
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        for name in ("beta_range", "q_range", "light_range", "glow_radius_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ParameterError(f"{name} lower bound must be < upper bound")
-        if self.beta_samples_per_image < 1 or self.q_samples_per_image < 1:
-            raise ParameterError("samples_per_image must be >= 1")
-        if min(self.target_size) < 16:
-            raise ParameterError("target dimensions must be >= 16")
+    sources_per_image_range: tuple = ranged((1, 5), "[0, inf)")
+    glow_radius_range: tuple = ranged((10.0, 60.0), "(0, inf)")
+    rng_seed: int = ranged(0, "[0, inf)")
+    __post_init__ = check_fields
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import OptimizerState, no_grad, sgd_step
-from .errors import ParameterError, TrainingDiverged
+from .errors import ParameterError, TrainingDiverged, check_fields, ranged
 from .imageio import read_pgm, read_ppm
 from .networks import (
     deglow_loss,
@@ -26,25 +26,17 @@ from .networks import (
 
 @dataclass
 class TrainSchedule:
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    weight_decay: float = 0.001
-    batch_size: int = 128
-    max_iterations: int = 1200
-    plateau_patience: int = 50
-    plateau_min_improvement: float = 0.001
-    val_interval: int = 10
-    checkpoint_interval: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ParameterError("learning_rate must be >= 0")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        for key in ("val_interval", "checkpoint_interval"):
-            if getattr(self, key) < 1:
-                raise ParameterError(f"{key} must be >= 1, got {getattr(self, key)}")
+    learning_rate: float = ranged(0.01, "[0, inf)")
+    momentum: float = ranged(0.9, "[0, 1)")
+    weight_decay: float = ranged(0.001, "[0, inf)")
+    batch_size: int = ranged(128, "[1, inf)")
+    max_iterations: int = ranged(1200, "[1, inf)")
+    plateau_patience: int = ranged(50, "[0, inf)")
+    plateau_min_improvement: float = ranged(0.001, "[0, 1)")
+    val_interval: int = ranged(10, "[1, inf)")
+    checkpoint_interval: int = ranged(100, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
+    __post_init__ = check_fields
 
 
 @dataclass

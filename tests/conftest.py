@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 import pytest
@@ -12,6 +16,23 @@ from nightdehaze.synthesis import (
     synthesize_example,
 )
 from nightdehaze.training import sample_from_layers
+
+
+def pytest_report_header(config):
+    """numpy, its bundled OpenBLAS and the core OpenBLAS chose at run time:
+    the byte-exact conv tests hold on some GEMM kernels only."""
+    libs_dir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    libs = glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so"))
+    core = "unknown"
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    except (IndexError, OSError, AttributeError):
+        pass
+    blas = os.path.basename(libs[0]) if libs else "unknown"
+    return f"numpy {np.__version__}, OpenBLAS {blas}, core {core}"
 
 
 @pytest.fixture

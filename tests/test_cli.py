@@ -1,10 +1,18 @@
+import contextlib
+import io
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nightdehaze import cli
+from nightdehaze.config import SECTIONS
 from nightdehaze.engine import load_checkpoint, save_checkpoint
 from nightdehaze.imageio import read_ppm, write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
@@ -286,6 +294,12 @@ def _deglow_slot(t, records):
     return ["--checkpoint", f"deglow={_checkpoint(t / 'c.nckp', records)}"]
 
 
+def _small_synth(t, line):
+    """synth argv for one 24x24 pair, with one more [synthesis] line."""
+    config = _write(t / "c.cfg", f"[synthesis]\ntarget_size = 24, 24\n{line}\n")
+    return ["synth", "--out", str(t / "d"), "--pairs", "1", "--config", config]
+
+
 # each row: the stage the error line names, and argv built from
 # (tmp dir, image, run flags, dataset dir)
 BAD_INPUTS = {
@@ -325,6 +339,30 @@ BAD_INPUTS = {
         "synth", "--out", str(t / "d"),
         "--config", _write(t / "c.cfg", "[synthesis]\ntarget_size = 32.5, 20\n"),
     ]),
+    # a seed below 0 used to reach numpy's seeding and end in a traceback
+    "synth-seed-negative": ("synth", lambda t, image, run, data: [
+        *_small_synth(t, ""), "--seed", "-1"
+    ]),
+    "config-rng-seed-negative": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "rng_seed = -1")
+    )),
+    "config-sources-range-reversed": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "sources_per_image_range = 3, 1")
+    )),
+    "config-beta-range-inf": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "beta_range = 0.5, inf")
+    )),
+    # these three used to build a dataset: glows that grow with distance, an
+    # airlight above 1, and a word read as false
+    "config-glow-radius-negative": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "glow_radius_range = -5, -1")
+    )),
+    "config-light-range-above-one": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "light_range = 5, 6")
+    )),
+    "config-taylor-glow-maybe": ("synth", lambda t, image, run, data: (
+        _small_synth(t, "use_taylor_glow = maybe")
+    )),
     "sidecar-without-light": ("read-intermediates", lambda t, image, run, data: [
         "recover", "--intermediates", _sidecar(t / "x.stages.npz", light=None),
         "--out", str(t / "r"),
@@ -410,6 +448,14 @@ BAD_INPUTS = {
         "train-dehaze", "--data", data, "--out", str(t / "o"),
         "--config", _write(t / "c.cfg", "[training]\ncheckpoint_interval = 0\n"),
     ]),
+    "train-seed-negative": ("train-deglow", lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"), "--seed", "-1"
+    ]),
+    # zero iterations used to end in an IndexError on the empty loss log
+    "config-max-iterations-zero": ("train-dehaze", lambda t, image, run, data: [
+        "train-dehaze", "--data", data, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[training]\nmax_iterations = 0\n"),
+    ]),
     # a negative count would train on the first records and validate on the rest
     "train-val-negative": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--val", "-2"
@@ -457,3 +503,94 @@ def test_bad_input_exits_one_with_one_error_line(case, dataset_dir, checkpoints,
     assert proc.returncode == 1, proc.stderr
     assert len(lines) == 1 and lines[0].startswith(f"error: stage={stage} "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# The CLI contract as a property: any subcommand with valid, boundary or
+# garbage flag values, and a config file setting one numeric key to a bad
+# value, ends in exit 0, a usage error (2), or exit 1 with one error line.
+FLAG_VALUES = {
+    "--seed": ["0", "7", "-1", "x"],
+    "--pairs": ["1", "0", "-1", "x"],
+    "--features": ["1", "2", "0", "-1", "x"],
+    "--tau": ["1", "2", "0", "-1", "17", "x"],
+    "--val": ["0", "2", "-1", "100", "x"],
+    "--tile-size": ["0", "8", "-1", "x"],
+    # never more than 2, so that no draw starts many threads
+    "--threads": ["-1", "0", "1", "2"],
+}
+COMMANDS = {
+    "synth": (["--seed", "--pairs"], ["synthesis"]),
+    "train-deglow": (["--seed", "--features", "--val", "--tau"], ["training", "loss"]),
+    "train-dehaze": (["--seed", "--features", "--val"], ["training", "loss"]),
+    "run": (["--tile-size", "--threads"], ["pipeline"]),
+}
+# settings that keep every run small: a 24x24 pair, two iterations of batch 2
+BASE_CONFIG = {
+    "synthesis": {"target_size": "24, 24", "glow_radius_range": "3, 8"},
+    "training": {"batch_size": "2", "max_iterations": "2", "val_interval": "1"},
+}
+BAD_NUMBERS = ["0", "-1", "nan", "inf"]
+NUMERIC_DEFAULTS = {
+    section: {
+        f.name: f.default
+        for f in fields(cls)
+        if isinstance(f.default, (int, float, tuple)) and not isinstance(f.default, bool)
+    }
+    for section, cls in SECTIONS.items()
+}
+
+
+@st.composite
+def cli_calls(draw, dataset, checkpoints, scratch):
+    """argv for one CLI call, and the text of its config file."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags, sections = COMMANDS[command]
+    argv = [command, "--out", str(scratch / "out")]
+    if command.startswith("train-"):
+        argv += ["--data", dataset]
+    if command == "run":
+        image = draw(st.sampled_from(["rec_000000.observed.ppm", "manifest.txt"]))
+        argv += [str(Path(dataset) / image), *checkpoints]
+        if draw(st.booleans()):
+            argv.append("--dump-intermediates")
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    config = {section: dict(BASE_CONFIG.get(section, {})) for section in sections}
+    section = draw(st.sampled_from(sections))
+    key = draw(st.none() | st.sampled_from(sorted(NUMERIC_DEFAULTS[section])))
+    if key is not None:
+        value = draw(st.sampled_from(BAD_NUMBERS))
+        if isinstance(NUMERIC_DEFAULTS[section][key], tuple):
+            value = f"{value}, {draw(st.sampled_from(BAD_NUMBERS))}"
+        config[section][key] = value
+    text = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+        for name, values in config.items()
+    )
+    return argv + ["--config", str(scratch / "c.cfg")], text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_exits_zero_one_or_two(dataset_dir, checkpoints, data):
+    slots = [
+        "--checkpoint", f"deglow={checkpoints / 'deglow.nckp'}",
+        "--checkpoint", f"dehaze={checkpoints / 'dehaze.nckp'}",
+    ]
+    with tempfile.TemporaryDirectory() as scratch:
+        scratch = Path(scratch)
+        argv, text = data.draw(cli_calls(str(dataset_dir), slots, scratch))
+        (scratch / "c.cfg").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                status = cli.main(argv)
+            except SystemExit as e:
+                status = e.code
+    lines = err.getvalue().splitlines()
+    assert status in (0, 1, 2), (argv, text)
+    if status == 1:
+        assert len(lines) == 1 and lines[0].startswith("error: stage="), (argv, text, lines)
+    if status == 0:
+        assert lines == [], (argv, text, lines)

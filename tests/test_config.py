@@ -1,10 +1,17 @@
+import math
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from nightdehaze.config import default_config, load_config
+from nightdehaze.config import SECTIONS, default_config, load_config
 from nightdehaze.errors import ParameterError
+from nightdehaze.networks import LossConfig
+from nightdehaze.synthesis import SynthesisConfig
+from nightdehaze.training import TrainSchedule
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_defaults(tmp_path):
@@ -69,6 +76,11 @@ def test_missing_file_rejected(tmp_path):
         ("[synthesis]\ntarget_size = 32.5, 20\n", "[synthesis] target_size"),
         ("[synthesis]\nbeta_range = 0.5\n", "[synthesis] beta_range"),
         ("[training]\nlearning_rate = %(nope)s\n", "[training] learning_rate"),
+        ("[synthesis]\nbeta_samples_per_image = 0\n", "[synthesis] beta_samples_per_image"),
+        ("[synthesis]\ntarget_size = 8, 8\n", "[synthesis] target_size"),
+        ("[synthesis]\nuse_taylor_glow = maybe\n", "[synthesis] use_taylor_glow"),
+        ("[synthesis]\nsources_per_image_range = 3, 1\n", "[synthesis] sources_per_image_range"),
+        ("[loss]\nlambda2 = -1\n", "[loss] lambda2"),
     ],
 )
 def test_bad_value_names_section_and_key(tmp_path, text, where):
@@ -80,7 +92,7 @@ def test_bad_value_names_section_and_key(tmp_path, text, where):
 
 def test_readme_example_parses(tmp_path):
     # the README's example config must name only keys that exist
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     path = tmp_path / "readme.cfg"
@@ -88,3 +100,61 @@ def test_readme_example_parses(tmp_path):
     cfgs = load_config(path)
     assert cfgs["pipeline"].deglow_checkpoint == "ckpt-deglow/ckpt_final.nckp"
     assert cfgs["pipeline"].tile_size == 0
+
+
+@pytest.mark.parametrize(
+    "word, value", [("on", True), ("Yes", True), ("0", False), ("off", False)]
+)
+def test_boolean_words(tmp_path, word, value):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"[synthesis]\nuse_taylor_glow = {word}\n")
+    assert load_config(path)["synthesis"].use_taylor_glow is value
+
+
+RANGED = [(cls, f) for cls in SECTIONS.values() for f in fields(cls) if f.metadata]
+
+
+@pytest.mark.parametrize(
+    "cls, field", RANGED, ids=[f"{cls.__name__}.{f.name}" for cls, f in RANGED]
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_rejected_at_construction(cls, field, bad):
+    # NaN used to pass every `value < bound` check, so a NaN weight or rate
+    # ran until the loss diverged
+    value = (bad, bad) if isinstance(field.default, tuple) else bad
+    with pytest.raises(ParameterError, match=rf"^{field.name} must be in "):
+        cls(**{field.name: value})
+
+
+def test_nan_weight_and_rate_rejected_at_construction():
+    with pytest.raises(ParameterError, match="lambda1"):
+        LossConfig(lambda1=math.nan)
+    with pytest.raises(ParameterError, match="learning_rate"):
+        TrainSchedule(learning_rate=math.nan)
+
+
+def test_equal_ends_accepted_for_counts_only():
+    assert SynthesisConfig(sources_per_image_range=(1, 1)).sources_per_image_range == (1, 1)
+    with pytest.raises(ParameterError, match="beta_range must increase"):
+        SynthesisConfig(beta_range=(1.0, 1.0))
+
+
+def _cell(value):
+    """A default as the README's key table writes it: as in a config file."""
+    if isinstance(value, tuple):
+        value = ", ".join(map(str, value))
+    elif isinstance(value, bool):
+        value = str(value).lower()
+    return f"`{value}`" if value != "" else "(empty)"
+
+
+def test_readme_key_table_matches_declared_fields():
+    # one row per config field: section, key, default, declared range, meaning
+    row = r"^\| `\[(\w+)\]` \| `(\w+)` \| (.*?) \| (.*?) \| .* \|$"
+    table = re.findall(row, README.read_text(), re.M)
+    declared = [
+        (name, f.name, _cell(f.default), f"`{f.metadata['range']}`" if f.metadata else "—")
+        for name, cls in SECTIONS.items()
+        for f in fields(cls)
+    ]
+    assert table == declared

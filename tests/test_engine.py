@@ -28,7 +28,6 @@ from nightdehaze.engine import (
     mean,
     mul,
     no_grad,
-    receptive_field_extent,
     relu,
     save_checkpoint,
     sgd_step,
@@ -356,13 +355,6 @@ class TestBackwardMatchesWholeBatchOracle:
 
 
 class TestReceptiveField:
-    def test_analytic_values(self):
-        assert receptive_field_extent(3, 1) == 7
-        assert receptive_field_extent(3, 2) == 13
-        # analytic extent for DF=3 is 19; a nominal 17x17 would contradict
-        # the impulse response measured below
-        assert receptive_field_extent(3, 3) == 19
-
     @pytest.mark.parametrize("dilation", [1, 2, 3])
     def test_empirical_impulse_support(self, dilation):
         size = 41
@@ -376,13 +368,10 @@ class TestReceptiveField:
             out = dilated_conv2d(out, params)
         rows = np.where(out[0, 0].any(axis=1))[0]
         cols = np.where(out[0, 0].any(axis=0))[0]
-        extent = receptive_field_extent(3, dilation)
+        # three 3x3 convs each reach `dilation` pixels farther on each side
+        extent = 1 + 2 * 3 * dilation
         assert rows[-1] - rows[0] + 1 == extent
         assert cols[-1] - cols[0] + 1 == extent
-
-    def test_invalid_args_rejected(self):
-        with pytest.raises(ParameterError):
-            receptive_field_extent(0, 1)
 
 
 class TestConcatSplit:
