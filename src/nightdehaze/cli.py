@@ -130,6 +130,9 @@ def _cmd_train(args, kind):
         samples = load_samples_from_manifest(args.data, kind)
     except (OSError, NightDehazeError) as e:
         _fail("load-data", manifest, e)
+    if args.val and args.val >= len(samples):
+        cause = f"--val {args.val} leaves none of {len(samples)} records to train on"
+        _fail("load-data", manifest, cause)
     val = None
     if args.val:
         samples, val = samples[: -args.val], samples[-args.val :]

@@ -138,22 +138,34 @@ class ContextualDilatedBlock:
         self.gate = Conv(features, features, kernel=1) if feedback else None
 
     def __call__(self, x, prev_features=None, window=WHOLE):
+        """The block's features of `x`.  `prev_features`, with feedback, is
+        a one-item list holding the previous step's features."""
         h = x
         for conv in self.entry:
             h = conv(h, window)
         if prev_features is not None:
             if self.gate is None:
                 raise ParameterError("block built without a feedback path")
-            h = add(*_meet(window, h, self.gate(prev_features, window)))
+            # ownership passes here: the gate takes the features out of the
+            # caller's list, so every frame between the recurrence and this
+            # line holds only the list, and without a tape the features are
+            # freed once the gate has read them
+            h = add(*_meet(window, h, self.gate(prev_features.pop(), window)))
         # each path starts from h cropped on its halo sides by the radius it
-        # lacks of the widest path's, so that all three end on one box
+        # lacks of the widest path's, so that all three end on one box.  The
+        # crops are then all that holds h, so without a tape it is freed once
+        # the last path's first conv has read it.
         widest = max(_radius(path) for path in self.paths)
+        starts = [
+            crop(h, *((widest - _radius(path)) * halo for halo in window)) for path in self.paths
+        ]
+        del h
 
         def path_outputs():
             # a generator, so that without a tape each output is freed once
             # it has been added
             for path in self.paths:
-                a = crop(h, *((widest - _radius(path)) * halo for halo in window))
+                a = starts.pop(0)
                 for conv in path:
                     a = conv(a, window)
                 yield a
@@ -258,7 +270,9 @@ class DeGlowModel(_ModelBase):
     def step(self, image, prev_features=None, window=WHOLE):
         """One recurrence: returns (residual, glow_prob, streaks, features),
         each on its own box: on halo sides of `window` an output is smaller
-        than the image by the depth of the chain that made it."""
+        than the image by the depth of the chain that made it.
+        `prev_features` is None on the first step, and then a one-item list
+        holding the previous step's features, which the block's gate empties."""
         image = _image_tensor(image)
         feats = self.block(image, prev_features, window)
         logits = self.head_glow(feats, window)
@@ -290,22 +304,32 @@ def deglow_steps(image, model, step):
     zero residual leaves a float64 image bit-exact.  `step(image,
     prev_features)` computes one recurrence's outputs like `model.step`; the
     tiled pipeline passes one that runs `model.step` per tile.  No list of
-    steps is kept: a step that its consumer drops is freed once the next
-    step has returned.
+    steps is kept: a step that its consumer drops is freed before the next
+    step runs, and the input once the first step has been subtracted from
+    it, unless the caller holds them.
     """
     current = image if isinstance(image, Tensor) else Tensor(image)
-    feats = None
+    del image
+    feedback = None
     for _ in range(model.tau):
-        residual, glow_prob, streaks, feats = step(astype(current, model.dtype), feats)
+        # `*feedback` is a one-item list, the features' only holder
+        residual, glow_prob, streaks, *feedback = step(astype(current, model.dtype), feedback)
         current = sub(current, residual)
         yield UnrollStep(residual, glow_prob, streaks, current)
+        del residual, glow_prob, streaks
 
 
 def deglow_unroll(image, model, step=None):
     """Run `deglow_steps` to the end, by default with `model.step`: (final
-    restored image, last step)."""
-    for last in deglow_steps(image, model, step or model.step):
-        pass
+    restored image, last step).  Each step before the last is dropped as it
+    finishes, and `image` once the first step has read it, unless the
+    caller holds it."""
+    steps = deglow_steps(image, model, step or model.step)
+    del image
+    # not a for loop, whose variable would hold each step while the next runs
+    for _ in range(model.tau - 1):
+        next(steps)
+    last = next(steps)
     return last.restored, last
 
 

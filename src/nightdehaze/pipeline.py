@@ -52,10 +52,8 @@ def apply_tiled(fn, inputs, tile_size, halo):
     when no output pixel reads farther than `halo`.  With `tile_size` 0, or
     an image within one tile, this is `fn(*inputs, window=WHOLE)` itself.
     """
-    if tile_size < 0:
-        raise ParameterError(f"tile_size must be >= 0, got {tile_size}")
     n, _, h, w = inputs[0].shape
-    if not tile_size or (h <= tile_size and w <= tile_size):
+    if _one_tile((h, w), tile_size):
         return fn(*inputs, window=WHOLE)
     outs = None
     for y0 in range(0, h, tile_size):
@@ -76,21 +74,29 @@ def apply_tiled(fn, inputs, tile_size, halo):
     return outs
 
 
+def _one_tile(size, tile_size):
+    """Whether an image of `size` (H, W) is processed whole at `tile_size`."""
+    if tile_size < 0:
+        raise ParameterError(f"tile_size must be >= 0, got {tile_size}")
+    return not tile_size or (size[0] <= tile_size and size[1] <= tile_size)
+
+
 def _tiled_step(model, tile_size):
     """`model.step` run tile by tile with a one-step halo.
 
     One step's outputs read at most `model.step_radius` pixels of its image
     and of the previous features, so each step is exact under that halo, and
-    the unroll recomputes no halo for the steps before it.
+    the unroll recomputes no halo for the steps before it.  The previous
+    features are read by every tile, so the whole map is held until the
+    last tile has run.
     """
 
+    def tile_step(image, feats, window):
+        return [t.data for t in model.step(image, None if feats is None else [feats], window)]
+
     def step(image, prev_features):
-        outputs = apply_tiled(
-            lambda *patches, window: [t.data for t in model.step(*patches, window=window)],
-            (image.data, None if prev_features is None else prev_features.data),
-            tile_size,
-            model.step_radius,
-        )
+        feats = None if prev_features is None else prev_features.pop().data
+        outputs = apply_tiled(tile_step, (image.data, feats), tile_size, model.step_radius)
         return [Tensor(a) for a in outputs]
 
     return step
@@ -102,6 +108,43 @@ def _check_stage_output(stage, values):
     # which raised the peak RSS of tiled inference by 0.7 MB
     if not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise DataError(f"{stage} stage output contains non-finite values")
+
+
+def _nchw(image, dtype):
+    """An H x W x 3 image as a contiguous 1 x 3 x H x W array of `dtype`."""
+    return np.ascontiguousarray(image.transpose(2, 0, 1)[None], dtype=dtype)
+
+
+# Each stage is a function of its own, so that its intermediates are freed
+# when it returns.  An overflow surfaces as a non-finite stage output,
+# checked before clipping, rather than as numpy warnings.
+
+
+def _deglow(image, model, tile_size):
+    """The restored H x W x 3 image, float64, clipped to [0, 1]."""
+    step = None if _one_tile(image.shape[:2], tile_size) else _tiled_step(model, tile_size)
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        # the unroll holds the only reference to the NCHW copy: it is freed
+        # once the first step has been subtracted from it
+        restored = deglow_unroll(_nchw(image, np.float64), model, step=step)[0]
+    _check_stage_output("deglow", restored.data)
+    return np.clip(restored.data[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
+
+
+def _dehaze(deglowed, model, t_min, tile_size):
+    """The transmission map, float64, floored at `t_min`."""
+    # cast once to the dtype dehaze_forward computes at: the same values as
+    # a cast of each tile
+    nchw = _nchw(deglowed, model.dtype)
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        (t_nchw,) = apply_tiled(
+            lambda patch, window: (dehaze_forward(patch, model, window=window).data,),
+            (nchw,),
+            tile_size,
+            model.receptive_radius(),
+        )
+    _check_stage_output("dehaze", t_nchw)
+    return np.maximum(t_nchw[0, 0], t_min).astype(np.float64)
 
 
 def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_size=0):
@@ -118,29 +161,14 @@ def run_pipeline(image, deglow_model, dehaze_model, t_min=DEFAULT_T_MIN, tile_si
         raise DimensionError(f"expected H x W x 3 image, got shape {image.shape}")
     if not np.all(np.isfinite(image)):
         raise DataError("image has non-finite values")
-    nchw = np.ascontiguousarray(image.transpose(2, 0, 1)[None])
     timings = {}
 
     start = time.perf_counter()
-    # an overflow surfaces as a non-finite stage output, checked below,
-    # rather than as numpy warnings
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        restored, _ = deglow_unroll(nchw, deglow_model, step=_tiled_step(deglow_model, tile_size))
-    _check_stage_output("deglow", restored.data)
-    deglowed = np.clip(restored.data[0].transpose(1, 2, 0).astype(np.float64), 0.0, 1.0)
+    deglowed = _deglow(image, deglow_model, tile_size)
     timings["deglow"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    deglowed_input = np.ascontiguousarray(deglowed.transpose(2, 0, 1)[None])
-    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        (t_nchw,) = apply_tiled(
-            lambda patch, window: (dehaze_forward(patch, dehaze_model, window=window).data,),
-            (deglowed_input,),
-            tile_size,
-            dehaze_model.receptive_radius(),
-        )
-    _check_stage_output("dehaze", t_nchw)
-    transmission = np.maximum(t_nchw[0, 0], t_min).astype(np.float64)
+    transmission = _dehaze(deglowed, dehaze_model, t_min, tile_size)
     timings["dehaze"] = time.perf_counter() - start
 
     start = time.perf_counter()

@@ -18,9 +18,21 @@ from nightdehaze.synthesis import (
 from nightdehaze.training import sample_from_layers
 
 
+def _huge_page_mode():
+    # numpy asks for transparent huge pages for arrays of 4 MiB and more, so
+    # the RSS of the same run depends on this mode
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as f:
+            modes = f.read().split()
+    except OSError:
+        return "unknown"
+    return next((m[1:-1] for m in modes if m.startswith("[")), "unknown")
+
+
 def pytest_report_header(config):
     """numpy, its bundled OpenBLAS and the core OpenBLAS chose at run time:
-    the byte-exact conv tests hold on some GEMM kernels only."""
+    the byte-exact conv tests hold on some GEMM kernels only; and the
+    transparent huge page mode, on which peak RSS depends."""
     libs_dir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     libs = glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so"))
     core = "unknown"
@@ -32,7 +44,8 @@ def pytest_report_header(config):
     except (IndexError, OSError, AttributeError):
         pass
     blas = os.path.basename(libs[0]) if libs else "unknown"
-    return f"numpy {np.__version__}, OpenBLAS {blas}, core {core}"
+    thp = _huge_page_mode()
+    return f"numpy {np.__version__}, OpenBLAS {blas}, core {core}, transparent huge pages {thp}"
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from nightdehaze.config import SECTIONS
 from nightdehaze.engine import load_checkpoint, save_checkpoint
 from nightdehaze.imageio import read_ppm, write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
+from nightdehaze.synthesis import parse_manifest
 
 
 def run_cli(*argv):
@@ -300,6 +301,10 @@ def _small_synth(t, line):
     return ["synth", "--out", str(t / "d"), "--pairs", "1", "--config", config]
 
 
+def _record_count(data_dir):
+    return len(parse_manifest(str(Path(data_dir) / "manifest.txt")))
+
+
 # each row: the stage the error line names, and argv built from
 # (tmp dir, image, run flags, dataset dir)
 BAD_INPUTS = {
@@ -459,6 +464,10 @@ BAD_INPUTS = {
     # a negative count would train on the first records and validate on the rest
     "train-val-negative": ("train-deglow", lambda t, image, run, data: [
         "train-deglow", "--data", data, "--out", str(t / "o"), "--val", "-2"
+    ]),
+    # holding back every record used to fail as "dataset is empty"
+    "train-val-all-records": ("load-data", lambda t, image, run, data: [
+        "train-deglow", "--data", data, "--out", str(t / "o"), "--val", str(_record_count(data))
     ]),
     "train-features-zero": ("train-dehaze", lambda t, image, run, data: [
         "train-dehaze", "--data", data, "--out", str(t / "o"), "--features", "0"

@@ -103,14 +103,17 @@ class TestDeGlowUnroll:
             assert getattr(last, name).data.tobytes() == getattr(want, name).data.tobytes()
 
     def test_finished_steps_are_released(self, image):
-        # while step t runs, no output of step t - 2 may still be alive: the
-        # unroll keeps the last step, not the trace of every step
-        alive_at_step = []
+        # while step t runs, step t - 1's residual, glow and streaks are dead,
+        # and so are its features once taken out of the one-item list that
+        # hands them over: the unroll keeps the last step, not the trace of
+        # every step
+        dead_at_step = []
         outputs = []
 
         def step(img, prev_features):
-            alive = [any(r() is not None for r in refs) for refs in outputs[:-1]]
-            alive_at_step.append([t for t, held in enumerate(alive) if held])
+            if outputs:
+                prev_features.pop()  # what the block's gate does
+                dead_at_step.append([r() is None for r in outputs[-1]])
             arrays = [
                 np.full_like(img.data, 0.01),
                 np.full_like(img.data[:, :1], 0.5),
@@ -122,8 +125,48 @@ class TestDeGlowUnroll:
 
         with no_grad():
             final, _ = deglow_unroll(image, DeGlowModel(features=8, tau=4), step=step)
-        assert alive_at_step == [[]] * 4
+        assert dead_at_step == [[True] * 4] * 3
         assert np.allclose(final.data, image.data - 4 * 0.01, atol=1e-6)
+
+    def test_block_frees_features_and_h_at_their_last_reader(self, rng):
+        # without a tape the previous step's features are dead once the gate
+        # has read them, and h, the paths' common input, once the last
+        # path's first conv has read it
+        model = DeGlowModel(features=4, tau=3).init(rng, std=0.1)
+        block = model.block
+        seen = {"features": [], "h": []}
+        events = []
+
+        class Spy:
+            def __init__(self, conv, before):
+                self.conv, self.before, self.radius = conv, before, conv.radius
+
+            def __call__(self, x, window):
+                self.before(x)
+                return self.conv(x, window)
+
+        def first_path_conv(x):
+            events.append(("features dead", all(r() is None for r in seen["features"])))
+
+        def last_path_first_conv(x):
+            seen["h"].append(weakref.ref(x.data))
+
+        def last_path_second_conv(x):
+            events.append(("h dead", seen["h"][-1]() is None))
+
+        block.paths[0][0] = Spy(block.paths[0][0], first_path_conv)
+        block.paths[-1][0] = Spy(block.paths[-1][0], last_path_first_conv)
+        block.paths[-1][1] = Spy(block.paths[-1][1], last_path_second_conv)
+
+        def step(img, prev_features):
+            outputs = model.step(img, prev_features)
+            seen["features"].append(weakref.ref(outputs[3].data))
+            return outputs
+
+        image = rng.uniform(0, 1, (1, 3, 24, 24))
+        with no_grad():
+            deglow_unroll(image, model, step=step)
+        assert events == [("features dead", True), ("h dead", True)] * model.tau
 
 
 class TestDeGlowLoss:

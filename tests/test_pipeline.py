@@ -7,7 +7,16 @@ import pytest
 from nightdehaze.atmospherics import recover_radiance
 from nightdehaze.engine import Tensor, mul, tensor, tsum
 from nightdehaze.errors import DataError, DimensionError, ParameterError
-from nightdehaze.networks import WHOLE, Conv, DeGlowModel, DeHazeModel, deglow_unroll, dehaze_forward
+from nightdehaze.engine.kernels import BAND_BYTES, COL_BLOCK
+from nightdehaze.networks import (
+    PATH_DILATIONS,
+    WHOLE,
+    Conv,
+    DeGlowModel,
+    DeHazeModel,
+    deglow_unroll,
+    dehaze_forward,
+)
 from nightdehaze import pipeline
 from nightdehaze.pipeline import PipelineConfig, apply_tiled, run_pipeline
 
@@ -107,21 +116,36 @@ class TestRunPipeline:
         assert np.array_equal(a.light, b.light)
 
     def test_whole_image_peak_memory(self):
-        # the peak holds the feature maps alive within one DeGlow step: 6.6
-        # whole-image 16-channel maps, where keeping every finished step and
-        # a padded copy of each conv's input took 8.6
+        # the peak holds what one DeGlow or DeHaze path needs: 4.8 whole-image
+        # 16-channel maps, where keeping the previous step, its features and
+        # the paths' input through the last path took 6.6, and keeping every
+        # finished step and a padded copy of each conv's input 8.6
         rng = np.random.default_rng(0)
         models = DeGlowModel(features=16, tau=3).init(rng), DeHazeModel(features=16).init(rng)
         image = rng.uniform(0, 1, (240, 320, 3))
-        run_pipeline(image[:32, :32], *models)  # lazy set-up outside the measurement
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            run_pipeline(image, *models)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak / (16 * 240 * 320 * 4) < 7.5
+        peak = _peak_bytes(image, models)
+        assert peak / (16 * 240 * 320 * 4) < 5.0
+
+    @pytest.mark.parametrize("tile_size", [0, 48])
+    def test_peak_memory_is_four_feature_maps(self, tile_size):
+        # at its peak, a path of either network, inference holds four
+        # F-channel maps (the paths' input, the sum of the paths before, a
+        # conv's input and its output), the image-sized planes (the float64
+        # image and its float32 cast) and one band of the widest conv's
+        # scratch; 2% covers the small arrays.  Tiles of a third of the image
+        # hold less.  Here the peak was 1.33 of this whole and 1.06 tiled
+        # while the previous step's features and the paths' input lived on.
+        f, h, w = 16, 120, 160
+        rng = np.random.default_rng(0)
+        models = DeGlowModel(features=f, tau=3).init(rng), DeHazeModel(features=f).init(rng)
+        image = rng.uniform(0, 1, (h, w, 3))
+        span = 2 * max(PATH_DILATIONS)
+        rows = max(1, min(h, BAND_BYTES // (f * 9 * 4 * w)))
+        width = -(-rows * w // COL_BLOCK) * COL_BLOCK
+        band = (9 * f + f) * width * 4 + f * (rows + span) * (w + span) * 4
+        budget = 4 * (f * h * w * 4) + 3 * h * w * (8 + 4) + band
+        peak = _peak_bytes(image, models, tile_size)
+        assert peak <= 1.02 * budget
 
     def test_tiled_matches_whole_image(self):
         # every conv pads its matmul to whole column blocks, so tiles give the
@@ -147,7 +171,7 @@ class TestRunPipeline:
         calls = []
 
         def spy(model, image, prev_features=None, window=WHOLE):
-            feats_dtype = None if prev_features is None else prev_features.dtype
+            feats_dtype = None if prev_features is None else prev_features[0].dtype
             calls.append((image.shape[2] * image.shape[3], feats_dtype))
             return step(model, image, prev_features, window)
 
@@ -325,6 +349,19 @@ class TestApplyTiled:
         assert DeHazeModel(features=4).receptive_radius() > 0
 
 
+def _peak_bytes(image, models, tile_size=0):
+    """tracemalloc's peak of one `run_pipeline`, after a small one outside
+    the measurement for lazy set-up."""
+    run_pipeline(image[:32, :32], *models)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_pipeline(image, *models, tile_size=tile_size)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def _blur(p):
     # box blur of radius 2 with zero padding
     out = np.zeros_like(p)
@@ -383,7 +420,7 @@ def test_deglow_step_radius_matches_impulse_support():
     # of the image and of the previous step's features
     model = _open_relus(DeGlowModel(features=4, tau=3), np.random.default_rng(3))
     supports = {
-        name: _impulse_radii(lambda x, f: model.step(x, f)[index], [3, model.features])
+        name: _impulse_radii(lambda x, f: model.step(x, [f])[index], [3, model.features])
         for name, index in (("residual", 0), ("features", 3))
     }
     image_radii = [image for image, _ in supports.values()]
