@@ -21,7 +21,7 @@ class GlowSource:
 
     position: tuple  # (row, col)
     peak_color: tuple  # (r, g, b) in [0,1]
-    radius: float = 1.0
+    radius: float
 
 
 @dataclass
@@ -43,7 +43,7 @@ class GlowField:
         return np.sum(self.streaks, axis=0)
 
 
-def _check_image(img, name="image"):
+def _check_image(img, name):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[2] != 3:
         raise DimensionError(f"{name} must be H x W x 3, got shape {img.shape}")
@@ -52,7 +52,7 @@ def _check_image(img, name="image"):
     return img
 
 
-def _check_map(m, name="map"):
+def _check_map(m, name):
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"{name} must be H x W, got shape {m.shape}")

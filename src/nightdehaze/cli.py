@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from . import metrics, synthesis
 from .atmospherics import recover_radiance
 from .config import default_config, load_config
-from .errors import NightDehazeError, ParameterError
+from .errors import CheckpointError, DataError, NightDehazeError, ParameterError
 from .gradsuite import TOLERANCE, run_gradient_suite
 from .imageio import read_ppm, write_pgm, write_ppm
 from .networks import DEFAULT_FEATURES, DEFAULT_TAU, DeGlowModel, DeHazeModel, load_model
@@ -32,24 +33,32 @@ from .pipeline import run_pipeline
 from .training import load_samples_from_manifest, train_deglow, train_dehaze
 
 
-SIDECAR_KEYS = {"deglowed", "transmission", "light", "t_min"}
+SIDECAR_KEYS = ("deglowed", "transmission", "light", "t_min")
 
 
 class StageFailure(Exception):
-    def __init__(self, stage, file, cause):
-        super().__init__(f"stage={stage} file={file}: {cause}")
-        self.stage = stage
+    """A failure worded as the error line's `stage=<stage> file=<file>: <cause>`."""
 
 
-def _fail(stage, file, cause):
-    raise StageFailure(stage, file or "-", cause)
+@contextmanager
+def stage(name, file, errors=(OSError, NightDehazeError)):
+    """Turn one of `errors` raised in the block into the StageFailure of
+    stage `name` on `file`, or on the OSError's own filename where it has
+    one.  A StageFailure of an inner stage passes through unchanged."""
+    try:
+        yield
+    except errors as e:
+        raise StageFailure(f"stage={name} file={getattr(e, 'filename', None) or file}: {e}")
 
 
 def _make_out_dir(path):
-    try:
+    with stage("write-output", path):
         os.makedirs(path, exist_ok=True)
-    except OSError as e:
-        _fail("write-output", path, e)
+
+
+def _read_image(name, path):
+    with stage(name, path):
+        return read_ppm(path)
 
 
 def build_parser():
@@ -108,10 +117,8 @@ def cmd_synth(args):
     width, height = cfg.target_size
     scene_rng = np.random.default_rng([cfg.rng_seed, 0])
     pairs = [synthesis.procedural_scene(scene_rng, (height, width)) for _ in range(args.pairs)]
-    try:
+    with stage("synth", args.out):
         records, manifest = synthesis.build_dataset(pairs, cfg, args.out)
-    except OSError as e:
-        _fail("synth", args.out, e)
     print(f"wrote {len(records)} records to {manifest}")
     return 0
 
@@ -123,16 +130,12 @@ def _cmd_train(args, kind):
     schedule = cfgs["training"]
     if args.seed is not None:
         schedule = replace(schedule, seed=args.seed)
-    manifest = os.path.join(args.data, "manifest.txt")
-    if not os.path.exists(manifest):
-        _fail("load-data", manifest, "manifest not found")
-    try:
+    with stage("load-data", os.path.join(args.data, "manifest.txt")):
         samples = load_samples_from_manifest(args.data, kind)
-    except (OSError, NightDehazeError) as e:
-        _fail("load-data", manifest, e)
-    if args.val and args.val >= len(samples):
-        cause = f"--val {args.val} leaves none of {len(samples)} records to train on"
-        _fail("load-data", manifest, cause)
+        if args.val and args.val >= len(samples):
+            raise ParameterError(
+                f"--val {args.val} leaves none of {len(samples)} records to train on"
+            )
     val = None
     if args.val:
         samples, val = samples[: -args.val], samples[-args.val :]
@@ -143,13 +146,12 @@ def _cmd_train(args, kind):
         model = DeHazeModel(features=args.features).init(rng)
     # an unwritable --out fails here, before any training time is spent
     _make_out_dir(args.out)
-    try:
+    # a divergence is left to the train-<kind> stage of main
+    with stage("write-output", args.out, errors=OSError):
         if kind == "deglow":
             result = train_deglow(model, samples, schedule, cfgs["loss"], val, args.out)
         else:
             result = train_dehaze(model, samples, schedule, val, args.out)
-    except OSError as e:
-        _fail("write-output", e.filename or args.out, e)
     final_loss = result.loss_log[-1][1]
     print(f"trained {kind}: {len(result.loss_log)} iterations, final loss {final_loss:.6g}")
     print(f"checkpoints: {', '.join(result.checkpoints)}")
@@ -160,31 +162,27 @@ def _load_models(args):
     cfg = (load_config(args.config) if args.config else default_config())["pipeline"]
     paths = {"deglow": cfg.deglow_checkpoint, "dehaze": cfg.dehaze_checkpoint}
     for item in args.checkpoint:
-        if "=" not in item:
-            _fail("load-checkpoint", item, "expected KIND=PATH")
-        kind, path = item.split("=", 1)
-        if kind not in paths:
-            _fail("load-checkpoint", item, f"unknown model kind '{kind}'")
+        with stage("load-checkpoint", item):
+            if "=" not in item:
+                raise ParameterError("expected KIND=PATH")
+            kind, path = item.split("=", 1)
+            if kind not in paths:
+                raise ParameterError(f"unknown model kind '{kind}'")
         paths[kind] = path
     models = {}
     for kind, path in paths.items():
-        if not path:
-            _fail("load-checkpoint", "-", f"no {kind} checkpoint given")
-        try:
+        with stage("load-checkpoint", path or "-"):
+            if not path:
+                raise ParameterError(f"no {kind} checkpoint given")
             models[kind] = load_model(path)
-        except NightDehazeError as e:
-            _fail("load-checkpoint", path, e)
-        if models[kind].kind != kind:
-            _fail("load-checkpoint", path, f"holds a {models[kind].kind} model, not {kind}")
+            if models[kind].kind != kind:
+                raise CheckpointError(f"holds a {models[kind].kind} model, not {kind}")
     return models["deglow"], models["dehaze"], cfg
 
 
 def _run_one(path, out_dir, deglow, dehaze, cfg, args):
-    try:
-        image = read_ppm(path)
-    except (OSError, NightDehazeError) as e:
-        _fail("read-input", path, e)
-    try:
+    image = _read_image("read-input", path)
+    with stage("pipeline", path):
         art = run_pipeline(
             image,
             deglow,
@@ -192,28 +190,46 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
             t_min=cfg.t_min,
             tile_size=args.tile_size if args.tile_size is not None else cfg.tile_size,
         )
-    except NightDehazeError as e:
-        _fail("pipeline", path, e)
     stem = os.path.splitext(os.path.basename(path))[0]
-    try:
+    with stage("write-output", out_dir):
         write_ppm(os.path.join(out_dir, f"{stem}.out.ppm"), art.radiance)
         if args.dump_intermediates:
             write_ppm(os.path.join(out_dir, f"{stem}.deglow.ppm"), art.deglowed)
             write_pgm(os.path.join(out_dir, f"{stem}.trans.pgm"), art.transmission)
             with open(os.path.join(out_dir, f"{stem}.light.txt"), "w") as f:
                 f.write(" ".join(f"{v:.17g}" for v in art.light) + "\n")
-            np.savez(
-                os.path.join(out_dir, f"{stem}.stages.npz"),
-                deglowed=art.deglowed,
-                transmission=art.transmission,
-                light=art.light,
-                t_min=np.array(cfg.t_min),
-            )
-    except OSError as e:
-        _fail("write-output", e.filename or out_dir, e)
+            stages = (art.deglowed, art.transmission, art.light, cfg.t_min)
+            sidecar = os.path.join(out_dir, f"{stem}.stages.npz")
+            np.savez(sidecar, **dict(zip(SIDECAR_KEYS, stages)))
     timing = " ".join(f"{k}={art.timings[k]:.4f}s" for k in art.timings)
     print(f"{stem}: {timing}")
     return 0
+
+
+def read_intermediates(path):
+    """The float64 deglowed image, transmission and light, and the float
+    t_min, of a `.stages.npz` sidecar as `_run_one` writes it above.  A
+    file that cannot be opened raises OSError; any other file that is not
+    such a sidecar raises DataError."""
+    with open(path, "rb") as f:
+        try:
+            with np.load(f) as blob:
+                arrays = {key: blob[key] for key in SIDECAR_KEYS if key in blob.files}
+        # the file is open, so whatever zipfile and numpy raise here is about
+        # its bytes, and they raise many types for that: BadZipFile,
+        # ValueError, EOFError, RuntimeError, NotImplementedError, zlib.error
+        except Exception as e:
+            raise DataError(f"not a .npz archive: {e}") from e
+    missing = [key for key in SIDECAR_KEYS if key not in arrays]
+    if missing:
+        raise DataError(f"missing {missing}")
+    for key, a in arrays.items():
+        if a.dtype.kind not in "iuf":
+            raise DataError(f"{key} holds {a.dtype} values, not real numbers")
+    *maps, t_min = (arrays[key] for key in SIDECAR_KEYS)
+    if t_min.shape != ():
+        raise DataError(f"t_min has shape {t_min.shape}, not a single value")
+    return (*(a.astype(np.float64) for a in maps), float(t_min))
 
 
 def cmd_run(args):
@@ -227,8 +243,9 @@ def cmd_run(args):
             )
         else:
             inputs.append(item)
-    if not inputs:
-        _fail("read-input", args.inputs[0], "no .ppm inputs found")
+    with stage("read-input", args.inputs[0]):
+        if not inputs:
+            raise DataError("no .ppm inputs found")
     deglow, dehaze, cfg = _load_models(args)
     _make_out_dir(args.out)
     if args.threads > 1 and len(inputs) > 1:
@@ -241,37 +258,22 @@ def cmd_run(args):
 
 
 def cmd_recover(args):
-    try:
-        blob = np.load(args.intermediates)
-    except (OSError, ValueError) as e:
-        _fail("read-intermediates", args.intermediates, e)
-    missing = SIDECAR_KEYS - set(getattr(blob, "files", ()))
-    if missing:
-        _fail("read-intermediates", args.intermediates, f"missing {sorted(missing)}")
-    try:
-        t_min = float(blob["t_min"])
-    except (TypeError, ValueError) as e:
-        _fail("read-intermediates", args.intermediates, f"t_min: {e}")
-    try:
-        radiance = recover_radiance(blob["deglowed"], blob["transmission"], blob["light"], t_min)
-    except NightDehazeError as e:
-        _fail("recover", args.intermediates, e)
+    with stage("read-intermediates", args.intermediates):
+        stages = read_intermediates(args.intermediates)
+    with stage("recover", args.intermediates):
+        radiance = recover_radiance(*stages)
     stem = os.path.basename(args.intermediates).replace(".stages.npz", "")
     _make_out_dir(args.out)
     out_path = os.path.join(args.out, f"{stem}.out.ppm")
-    try:
+    with stage("write-output", out_path):
         write_ppm(out_path, radiance)
-    except OSError as e:
-        _fail("write-output", out_path, e)
     print(f"wrote {out_path}")
     return 0
 
 
 def _stem_map(directory):
-    try:
+    with stage("eval", directory):
         names = sorted(os.listdir(directory))
-    except OSError as e:
-        _fail("eval", directory, e)
     out = {}
     for f in names:
         if not f.endswith(".ppm"):
@@ -287,22 +289,18 @@ def cmd_eval(args):
     preds = _stem_map(args.pred)
     truths = _stem_map(args.truth)
     shared = sorted(set(preds) & set(truths))
-    if not shared:
-        _fail("eval", args.pred, "no matching image stems between --pred and --truth")
-    pairs = []
-    for stem in shared:
-        try:
-            pairs.append((stem, read_ppm(preds[stem]), read_ppm(truths[stem])))
-        except (OSError, NightDehazeError) as e:
-            _fail("eval", preds[stem], e)
+    with stage("eval", args.pred):
+        if not shared:
+            raise DataError("no matching image stems between --pred and --truth")
+    pairs = [
+        (stem, _read_image("eval", preds[stem]), _read_image("eval", truths[stem]))
+        for stem in shared
+    ]
     report = metrics.evaluate_pairs(pairs)
     text = metrics.format_report(report)
     if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text)
-        except OSError as e:
-            _fail("write-output", args.out, e)
+        with stage("write-output", args.out), open(args.out, "w") as f:
+            f.write(text)
     print(text, end="")
     return 0
 
@@ -332,12 +330,10 @@ def main(argv=None):
         "gradcheck": cmd_gradcheck,
     }
     try:
-        return handlers[args.command](args)
+        with stage(args.command, "-"):
+            return handlers[args.command](args)
     except StageFailure as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
-    except NightDehazeError as e:
-        print(f"error: stage={args.command} file=-: {e}", file=sys.stderr)
         return 1
 
 

@@ -38,7 +38,7 @@ def load_checkpoint(path):
     try:
         with open(path, "rb") as f:
             blob = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
     if blob[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic bytes")

@@ -18,11 +18,11 @@ the pre-activation.  The columns and product buffers are made once per conv
 and reused by every band.  A padded conv never makes a padded copy of its
 whole input: each band's padded rows are copied into one slab per conv,
 whose border columns stay zero, and a conv padded on no side reads its
-input's rows in place.  The backward pass works one image at a time, and
-pads only that image: grad-weights from its patch columns, and grad-input
-from columns laid on the padded-width grid, which scatter back as one
-contiguous slice add per tap.  Both give the same bytes as lowering the
-whole batch at once.
+input's rows in place.  The backward pass works one image at a time, each
+copied into one padded slab per conv in the same way: grad-weights from its
+patch columns, and grad-input from columns laid on the padded-width grid,
+which scatter back as one contiguous slice add per tap.  Both give the same
+bytes as lowering the whole batch at once.
 """
 
 import math
@@ -67,18 +67,6 @@ COL_BLOCK = 64
 # product in the same K order whatever the band height, so the output bytes
 # do not depend on this value.
 BAND_BYTES = 1 << 20
-
-
-def _pad(x, pads):
-    """`x` inside a zeroed border of `pads` = (top, bottom, left, right)
-    rows and columns."""
-    if not any(pads):
-        return x
-    top, bottom, left, right = pads
-    n, c, h, w = x.shape
-    xp = np.zeros((n, c, h + top + bottom, w + left + right), dtype=x.dtype)
-    xp[:, :, top : top + h, left : left + w] = x
-    return xp
 
 
 def _geometry(x, params, pads):
@@ -232,13 +220,16 @@ def dilated_conv2d_backward(x, params, grad_out, pads=None):
     g_wide = np.zeros((o, -(-h * wp // COL_BLOCK) * COL_BLOCK), dtype=grad_out.dtype)
     grid = g_wide[:, : h * wp].reshape(o, h, wp)[:, :, :w]
     cols = np.empty(c * k * k * h * w, dtype=x.dtype)
+    hp = hi + top + bottom
+    slab = np.zeros((1, c, hp, wp), x.dtype) if any(pads) else None
     for i in range(n):
-        cols_i = _im2col(_pad(x[i : i + 1], pads), k, d, 1, cols)
+        xp = x[i : i + 1] if slab is None else _pad_rows(x[i : i + 1], slab, top, left, 0, hp)
+        cols_i = _im2col(xp, k, d, 1, cols)
         # the K x O product, transposed, has the bytes of g @ cols.T and took
         # 0.46 ms where that took 0.81 at O = 16, K = 144 on one BLAS thread;
         # g @ ascontiguousarray(cols.T) is not byte-equal for O <= 3
         grad_weights += (cols_i[0] @ grad_out[i].reshape(o, h * w).T).T
         grid[...] = grad_out[i]
-        gxp = _col2im(wmt @ g_wide, (c, hi + top + bottom, wp), k, d)
+        gxp = _col2im(wmt @ g_wide, (c, hp, wp), k, d)
         grad_input[i] = gxp[:, top : top + hi, left : left + wi]
     return grad_input, grad_weights.reshape(params.weights.shape), grad_bias

@@ -6,7 +6,7 @@ RGB channel over all fully interior window positions and averaged.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ SSIM_K2 = 0.03
 class QualityReport:
     psnr_db: float
     ssim: float
-    entries: list = field(default_factory=list)  # (image id, psnr, ssim)
+    entries: list  # (image id, psnr, ssim)
 
 
 def _check_pair(a, b, min_size=1):

@@ -32,7 +32,6 @@ from .engine import (
     conv2d,
     crop,
     load_checkpoint,
-    mean,
     mse,
     mul,
     save_checkpoint,
@@ -125,7 +124,7 @@ def _image_tensor(image):
 class ContextualDilatedBlock:
     """Entry convs + three dilated paths + fusion; optional recurrence feedback."""
 
-    def __init__(self, features=DEFAULT_FEATURES, feedback=True):
+    def __init__(self, features, feedback):
         if features < 1:
             raise ParameterError(f"features must be >= 1, got {features}")
         self.features = features

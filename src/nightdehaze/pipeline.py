@@ -9,7 +9,7 @@ layer is computed only where a later layer reads it.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class RunArtifacts:
     deglowed: np.ndarray
     transmission: np.ndarray
     light: np.ndarray
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
 
 def apply_tiled(fn, inputs, tile_size, halo):

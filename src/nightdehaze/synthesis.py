@@ -8,7 +8,7 @@ stream from the master seed, so parallel and serial builds agree.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class SynthesisConfig:
 class DatasetRecord:
     id: str
     paths: dict  # keys: observed, haze, transmission, glow_mask, streak_sum
-    beta: float = 0.0
-    q: float = 0.0
-    light: tuple = (0.0, 0.0, 0.0)
-    source_positions: list = field(default_factory=list)
+    beta: float
+    q: float
+    light: tuple
+    source_positions: list
 
 
 def sample_scene_params(rng, config):
@@ -214,7 +214,7 @@ def build_dataset(clean_depth_pairs, config, out_dir):
                 )
                 rec_index += 1
     manifest_path = os.path.join(out_dir, "manifest.txt")
-    with open(manifest_path, "w") as f:
+    with open(manifest_path, "w", encoding="utf-8") as f:
         for rec in records:
             f.write(format_manifest_line(rec) + "\n")
     return records, manifest_path
@@ -237,37 +237,44 @@ def format_manifest_line(rec):
 def parse_manifest(path):
     """Read a manifest back into DatasetRecord objects (paths stay relative).
 
-    A malformed line raises DataError naming the manifest and line number."""
+    Text that is not UTF-8 raises DataError naming the manifest, and a
+    malformed line one naming the manifest and line number."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     records = []
-    with open(path) as f:
-        for number, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path} line {number}"
-            tokens = line.split(" ")
-            bad = next((token for token in tokens if "=" not in token), None)
-            if bad is not None:
-                raise DataError(f"{where}: expected key=value, got {bad!r}")
-            kv = dict(token.split("=", 1) for token in tokens)
-            for key in ("id", *LAYER_KEYS, "beta", "q", "light"):
-                if key not in kv:
-                    raise DataError(f"{where}: missing key '{key}'")
-            try:
-                positions = []
-                if kv.get("sources"):
-                    for part in kv["sources"].split(";"):
-                        r, c = part.split(",")
-                        positions.append((int(r), int(c)))
-                record = DatasetRecord(
-                    id=kv["id"],
-                    paths={k: kv[k] for k in LAYER_KEYS},
-                    beta=float(kv["beta"]),
-                    q=float(kv["q"]),
-                    light=tuple(float(v) for v in kv["light"].split(",")),
-                    source_positions=positions,
-                )
-            except ValueError as e:
-                raise DataError(f"{where}: {e}") from e
-            records.append(record)
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path} line {number}"
+        if "\0" in line:
+            raise DataError(f"{where}: holds a NUL character")
+        tokens = line.split(" ")
+        bad = next((token for token in tokens if "=" not in token), None)
+        if bad is not None:
+            raise DataError(f"{where}: expected key=value, got {bad!r}")
+        kv = dict(token.split("=", 1) for token in tokens)
+        for key in ("id", *LAYER_KEYS, "beta", "q", "light"):
+            if key not in kv:
+                raise DataError(f"{where}: missing key '{key}'")
+        try:
+            positions = []
+            if kv.get("sources"):
+                for part in kv["sources"].split(";"):
+                    r, c = part.split(",")
+                    positions.append((int(r), int(c)))
+            record = DatasetRecord(
+                id=kv["id"],
+                paths={k: kv[k] for k in LAYER_KEYS},
+                beta=float(kv["beta"]),
+                q=float(kv["q"]),
+                light=tuple(float(v) for v in kv["light"].split(",")),
+                source_positions=positions,
+            )
+        except ValueError as e:
+            raise DataError(f"{where}: {e}") from e
+        records.append(record)
     return records

@@ -238,6 +238,18 @@ class TestRunRecoverEval:
         out = capsys.readouterr().out
         assert "a inf 1.000000" in out
 
+    @pytest.mark.parametrize("bad_side", ["pred", "truth"])
+    def test_eval_names_the_file_that_failed(self, dataset_dir, tmp_path, capsys, bad_side):
+        img = read_ppm(dataset_dir / "rec_000000.observed.ppm")
+        # a truncated truth image used to be reported under the prediction's name
+        for side in ("pred", "truth"):
+            (tmp_path / side).mkdir()
+            write_ppm(tmp_path / side / "a.ppm", img)
+        bad = _write(tmp_path / bad_side / "a.ppm", b"P6\n16 16\n255\n\0\0")
+        pred, truth = str(tmp_path / "pred"), str(tmp_path / "truth")
+        assert run_cli("eval", "--pred", pred, "--truth", truth) == 1
+        assert capsys.readouterr().err.startswith(f"error: stage=eval file={bad}: ")
+
     def test_eval_no_matches_exits_one(self, tmp_path, capsys):
         (tmp_path / "p").mkdir()
         (tmp_path / "t").mkdir()
@@ -265,9 +277,22 @@ def _sidecar(path, **overrides):
     return str(path)
 
 
+def _cut_in_half(path):
+    blob = Path(path).read_bytes()
+    return _write(Path(path), blob[: len(blob) // 2])
+
+
+def _broken_crc(path):
+    """The sidecar at `path` with one data byte of its first member changed."""
+    blob = bytearray(Path(path).read_bytes())
+    blob[blob.index(b"\x93NUMPY") + 200] ^= 1  # past the 128-byte .npy header
+    return _write(Path(path), bytes(blob))
+
+
 def _manifest_dir(path, line):
+    """A dataset directory whose manifest is the text `line`, or these bytes."""
     path.mkdir()
-    (path / "manifest.txt").write_text(line + "\n")
+    _write(path / "manifest.txt", line + "\n" if isinstance(line, str) else line)
     return str(path)
 
 
@@ -303,6 +328,12 @@ def _small_synth(t, line):
 
 def _record_count(data_dir):
     return len(parse_manifest(str(Path(data_dir) / "manifest.txt")))
+
+
+MANIFEST_LINE = " ".join([
+    "id=rec_0", "observed=o.ppm", "haze=h.ppm", "transmission=t.pgm",
+    "glow_mask=g.pgm", "streak_sum=s.ppm", "beta=1", "q=0.5", "light=1,1,1",
+])
 
 
 # each row: the stage the error line names, and argv built from
@@ -388,6 +419,27 @@ BAD_INPUTS = {
         "recover", "--intermediates", _sidecar(t / "x.stages.npz", t_min=np.ones(2)),
         "--out", str(t / "r"),
     ]),
+    # these five used to escape as tracebacks: BadZipFile and ValueError
+    "sidecar-cut-in-half": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates", _cut_in_half(_sidecar(t / "x.stages.npz")),
+        "--out", str(t / "r"),
+    ]),
+    "sidecar-zip-header-then-zeros": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates", _write(t / "x.stages.npz", b"PK\x03\x04" + bytes(200)),
+        "--out", str(t / "r"),
+    ]),
+    "sidecar-broken-crc": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates", _broken_crc(_sidecar(t / "x.stages.npz")),
+        "--out", str(t / "r"),
+    ]),
+    "sidecar-deglowed-objects": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates",
+        _sidecar(t / "x.stages.npz", deglowed=np.full((4, 4, 3), None)), "--out", str(t / "r"),
+    ]),
+    "sidecar-deglowed-strings": ("read-intermediates", lambda t, image, run, data: [
+        "recover", "--intermediates",
+        _sidecar(t / "x.stages.npz", deglowed=np.full((4, 4, 3), "x")), "--out", str(t / "r"),
+    ]),
     "manifest-layer-file-missing": ("load-data", lambda t, image, run, data: [
         "train-dehaze", "--data", _manifest_dir(t / "m", " ".join([
             "id=rec_0", "observed=o.ppm", "haze=h.ppm", "transmission=t.pgm",
@@ -402,6 +454,21 @@ BAD_INPUTS = {
     "manifest-token-without-equals": ("load-data", lambda t, image, run, data: [
         "train-dehaze", "--data", _manifest_dir(t / "m", "id=rec_0 observed"),
         "--out", str(t / "o"),
+    ]),
+    # these two used to end in UnicodeDecodeError and "embedded null byte"
+    "manifest-not-utf8": ("load-data", lambda t, image, run, data: [
+        "train-dehaze", "--data", _manifest_dir(t / "m", MANIFEST_LINE.encode() + b"\xff\n"),
+        "--out", str(t / "o"),
+    ]),
+    "manifest-layer-path-nul": ("load-data", lambda t, image, run, data: [
+        "train-dehaze",
+        "--data", _manifest_dir(t / "m", MANIFEST_LINE.replace("h.ppm", "h\0.ppm")),
+        "--out", str(t / "o"),
+    ]),
+    # open() rejects the path with ValueError, not OSError
+    "config-checkpoint-path-nul": ("load-checkpoint", lambda t, image, run, data: [
+        "run", image, "--out", str(t / "o"),
+        "--config", _write(t / "c.cfg", "[pipeline]\ndeglow_checkpoint = c\0.nckp\n"),
     ]),
     "checkpoint-untied": ("load-checkpoint", lambda t, image, run, data: [
         "run", image, *run, *_deglow_slot(t, {"meta.tied": [0.0]})

@@ -4,6 +4,8 @@ loads from a well-formed checkpoint only when its values are valid; tiled
 inference matches whole-image inference at any tile size and recurrence
 count; and radiance recovery inverts the haze blend wherever t >= t_min."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nightdehaze.atmospherics import compose_haze, recover_radiance
+from nightdehaze.cli import SIDECAR_KEYS, read_intermediates
 from nightdehaze.engine import load_checkpoint, save_checkpoint
 from nightdehaze.engine.checkpoint import MAGIC
-from nightdehaze.errors import NightDehazeError
+from nightdehaze.errors import DataError, NightDehazeError
 from nightdehaze.imageio import read_pgm, read_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, load_model
 from nightdehaze.pipeline import run_pipeline
+from nightdehaze.synthesis import LAYER_KEYS, DatasetRecord, format_manifest_line, parse_manifest
 
 from conftest import make_scene, small_config
 
@@ -28,6 +32,20 @@ def _prefixed(*prefixes):
         st.binary(max_size=64),
         *(st.binary(max_size=256).map(lambda tail, p=p: p + tail) for p in prefixes),
     )
+
+
+def _edit(blob, edits):
+    out = bytearray(blob)
+    for position, byte in edits:
+        out[position] = byte
+    return bytes(out)
+
+
+def _mutated(valid):
+    """`valid` with 1 to 4 of its bytes replaced by any bytes."""
+    position = st.integers(0, len(valid) - 1)
+    edits = st.lists(st.tuples(position, st.integers(0, 255)), min_size=1, max_size=4)
+    return edits.map(lambda e: _edit(valid, e))
 
 
 PNM_BYTES = _prefixed(b"P6", b"P6\n", b"P6\n4 4\n255\n", b"P5\n", b"P5\n3 2\n65535\n")
@@ -60,6 +78,45 @@ def test_checkpoint_reader_raises_only_typed_errors(tmp_path, blob):
         load_checkpoint(path)
     except NightDehazeError:
         pass
+
+
+def _valid_manifest():
+    paths = {key: f"rec_000000.{key}.ppm" for key in LAYER_KEYS}
+    record = DatasetRecord("rec_000000", paths, 0.7, 0.4, (0.6, 0.6, 0.6), [(3, 4), (10, 2)])
+    return (format_manifest_line(record) + "\n").encode()
+
+
+def _valid_sidecar():
+    arrays = (np.zeros((4, 4, 3)), np.ones((4, 4)), np.ones(3), 0.05)
+    out = io.BytesIO()
+    np.savez(out, **dict(zip(SIDECAR_KEYS, arrays)))
+    return out.getvalue()
+
+
+@FUZZ
+@given(blob=st.one_of(st.binary(max_size=256), _mutated(_valid_manifest())))
+def test_manifest_reader_raises_only_typed_errors(tmp_path, blob):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(blob)
+    try:
+        records = parse_manifest(path)
+    except DataError:
+        return
+    for record in records:
+        assert sorted(record.paths) == sorted(LAYER_KEYS)
+        assert not any("\0" in name for name in record.paths.values())
+
+
+@FUZZ
+@given(blob=st.one_of(_prefixed(b"PK\x03\x04", b"\x93NUMPY"), _mutated(_valid_sidecar())))
+def test_sidecar_reader_raises_only_typed_errors(tmp_path, blob):
+    path = tmp_path / "x.stages.npz"
+    path.write_bytes(blob)
+    try:
+        *arrays, t_min = read_intermediates(path)
+    except DataError:
+        return
+    assert all(a.dtype == np.float64 for a in arrays) and isinstance(t_min, float)
 
 
 FLOAT32 = st.floats(width=32)

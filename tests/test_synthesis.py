@@ -179,11 +179,7 @@ class TestBuildDataset:
 
     def test_ground_truth_consistency(self, tmp_path):
         # recovery from the stored layers reproduces the resized clean image
-        from nightdehaze.imageio import bilinear_resize
-        from nightdehaze.synthesis import (
-            sample_glow_sources,
-            sample_scene_params,
-        )
+        from nightdehaze.synthesis import sample_scene_params
 
         cfg = small_config(24, rng_seed=9)
         clean, depth = self._pairs(1)[0]
