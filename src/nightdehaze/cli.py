@@ -26,7 +26,7 @@ from . import metrics, synthesis
 from .atmospherics import recover_radiance
 from .config import default_config, load_config
 from .errors import CheckpointError, DataError, NightDehazeError, ParameterError
-from .gradsuite import TOLERANCE, run_gradient_suite
+from .gradsuite import STEPS, TOLERANCE, run_gradient_suite
 from .imageio import read_ppm, write_pgm, write_ppm
 from .networks import DEFAULT_FEATURES, DEFAULT_TAU, DeGlowModel, DeHazeModel, load_model
 from .pipeline import run_pipeline
@@ -202,8 +202,7 @@ def _run_one(path, out_dir, deglow, dehaze, cfg, args):
             sidecar = os.path.join(out_dir, f"{stem}.stages.npz")
             np.savez(sidecar, **dict(zip(SIDECAR_KEYS, stages)))
     timing = " ".join(f"{k}={art.timings[k]:.4f}s" for k in art.timings)
-    print(f"{stem}: {timing}")
-    return 0
+    return f"{stem}: {timing}"
 
 
 def read_intermediates(path):
@@ -248,12 +247,18 @@ def cmd_run(args):
             raise DataError("no .ppm inputs found")
     deglow, dehaze, cfg = _load_models(args)
     _make_out_dir(args.out)
+
+    def run_one(path):
+        return _run_one(path, args.out, deglow, dehaze, cfg, args)
+
     if args.threads > 1 and len(inputs) > 1:
+        # the workers return their lines, which this thread prints whole
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(lambda p: _run_one(p, args.out, deglow, dehaze, cfg, args), inputs))
+            for line in pool.map(run_one, inputs):
+                print(line)
     else:
         for path in inputs:
-            _run_one(path, args.out, deglow, dehaze, cfg, args)
+            print(run_one(path))
     return 0
 
 
@@ -305,15 +310,23 @@ def cmd_eval(args):
     return 0
 
 
+def _sci(value):
+    return np.format_float_scientific(value, trim="-", exp_digits=1)
+
+
 def cmd_gradcheck(args):
-    results = run_gradient_suite()
+    reports = run_gradient_suite()
     worst = 0.0
-    for name, err in results:
-        print(f"{name}: max rel error {err:.3e}")
-        worst = np.maximum(worst, err)  # a NaN case stays NaN and fails
+    for name, report in reports:
+        print(f"{name}: max rel error {report.error:.3e}")
+        worst = np.maximum(worst, report.error)  # a NaN case stays NaN and fails
+    for step in STEPS:
+        count = sum(report.steps[step][0] for _, report in reports)
+        err = np.max([report.steps[step][1] for _, report in reports])
+        print(f"step {_sci(step)}: {count} coordinates, max rel error {err:.3e}")
     ok = worst <= TOLERANCE
-    tolerance = np.format_float_scientific(TOLERANCE, trim="-", exp_digits=1)
-    print(f"gradcheck {'PASS' if ok else 'FAIL'} (worst {worst:.3e}, tolerance {tolerance})")
+    verdict = "PASS" if ok else "FAIL"
+    print(f"gradcheck {verdict} (worst {worst:.3e}, tolerance {_sci(TOLERANCE)})")
     return 0 if ok else 1
 
 

@@ -1,22 +1,35 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A Tensor wraps an ndarray plus an optional gradient buffer; ops build a tape
-of parent links and adjoints.  An adjoint is a pure function: it takes the
-output's gradient and returns one gradient per parent, in parent order, and
-touches no tensor.  Tensor.backward() walks the tape in reverse topological
-order, accumulates each returned gradient into the parents that require one,
-and releases each node as it goes.  Inside `no_grad()` ops record nothing,
-so intermediates are freed as soon as the next op has read them; the switch
-is per thread.  Constants an op depends on sit on the tape as parents whose
-gradient is None; a rectified output (relu, or a conv that carries its ReLU
-with `relu=True`) records its sign mask that way, packed one bit per value,
-and only while a tape is recorded, so a gradient check can tell from two
-tapes whether a perturbation crossed a kink.  A fused conv keeps that mask
-instead of its pre-activation output, which no adjoint reads.  A sum of
-several tensors (`add_n`) is one node, not a chain of partial sums that no
-adjoint reads either.  Ops compute at their operands' numpy dtype: float32
-is the training and inference dtype, and the same code paths accept
-float64 for finite-difference verification.
+of parent links and adjoints.  The tape's vertices are nodes.  A leaf (a
+parameter, an input that requires a gradient) or a constant (a target, a
+scalar, a packed ReLU mask) is its own node, data and all.  An op's output
+is a Tensor that owns its array and points at a data-free `_Node`: the
+parents' nodes, the adjoint, the gradient accumulator, and the shape and
+dtype the gradient takes.  So the tape holds an output's array only when an
+adjoint saved it, and the forward frees every other intermediate once it has
+read it.  Each adjoint closes over what it reads and nothing else, never
+over a Tensor: conv2d its input's array and the conv's parameters; mul both
+operands' arrays; sigmoid and channel_softmax their outputs; log its shifted
+input; a rectified output the packed mask; add_n the number of summands;
+concat_channels the channel offsets; add, sub, crop, split_channels, mean
+and tsum shapes and dtypes only.
+
+An adjoint is a pure function: it takes the output's gradient and returns
+one gradient per parent, in parent order, and touches no tensor.
+Tensor.backward() walks the tape in reverse topological order, accumulates
+each returned gradient into the parents that require one, and releases each
+node as it goes.  Inside `no_grad()` ops record nothing, so intermediates
+are freed as soon as the next op has read them; the switch is per thread.
+Constants an op depends on sit on the tape as parents whose gradient is
+None; a rectified output (relu, or a conv that carries its ReLU with
+`relu=True`) records its sign mask that way, packed one bit per value, and
+only while a tape is recorded, so a gradient check can tell from two tapes
+whether a perturbation crossed a kink.  A fused conv keeps that mask instead
+of its pre-activation output, which no adjoint reads.  A sum of several
+tensors (`add_n`) is one node, not a chain of partial sums.  Ops compute at
+their operands' numpy dtype: float32 is the training and inference dtype,
+and the same code paths accept float64 for finite-difference verification.
 """
 
 import threading
@@ -29,6 +42,8 @@ from .kernels import ConvParams, dilated_conv2d, dilated_conv2d_backward, rectif
 
 
 class Tensor:
+    """An array; a leaf or a constant, and so its own tape node."""
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
@@ -37,6 +52,10 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+
+    @property
+    def _node(self):
+        return self
 
     @property
     def shape(self):
@@ -54,7 +73,7 @@ class Tensor:
 
     def _accumulate(self, grad):
         if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
+            self.grad = grad.astype(self.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -64,7 +83,7 @@ class Tensor:
 
         The walk spends the graph: once a node's adjoint has run, the node
         drops its grad, adjoint and parent links and becomes a constant, so
-        each intermediate is freed as soon as nothing upstream needs it.  A
+        each saved array is freed as soon as nothing upstream needs it.  A
         second call on the same graph does nothing."""
         if not self.requires_grad:
             return
@@ -86,10 +105,49 @@ class Tensor:
         return add(self, other)
 
 
+class _Node:
+    """The tape's vertex for an op's output: everything of it but its data."""
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+
+    def __init__(self, parents, backward, shape, dtype):
+        self.grad = None
+        self.requires_grad = True
+        self._parents = parents
+        self._backward = backward
+        self.shape = shape
+        self.dtype = dtype
+
+    _node = Tensor._node
+    _accumulate = Tensor._accumulate
+
+
+def _on_node(name):
+    return property(
+        lambda self: getattr(self._node, name),
+        lambda self, value: setattr(self._node, name, value),
+    )
+
+
+class _Output(Tensor):
+    """An op's output recorded on a tape: the array, and the node that
+    stands for it there, whose tape attributes it reads and writes."""
+
+    __slots__ = ("_node",)
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _parents = _on_node("_parents")
+    _backward = _on_node("_backward")
+
+    def __init__(self, data, node):
+        self.data = data
+        self._node = node
+
+
 def walk(root):
-    """Every tensor on root's tape once, each after all of its parents, root
-    last.  By an explicit stack: a recursive closure would be a reference
-    cycle holding the whole tape until the cyclic GC ran."""
+    """Every node on root's tape once, each after all of its parents, and
+    root itself last.  By an explicit stack: a recursive closure would be a
+    reference cycle holding the whole tape until the cyclic GC ran."""
     order = []
     seen = {id(root)}
     stack = [(root, iter(root._parents))]
@@ -143,12 +201,13 @@ def no_grad():
 
 
 def _make(data, parents, backward):
-    out = Tensor(data)
-    if _TAPE.enabled and _needs(*parents):
-        out._parents = tuple(parents)
-        out._backward = backward
-        out.requires_grad = True
-    return out
+    """`data` as the output of an op of `parents` whose adjoint is
+    `backward`: with a tape and a parent that requires a gradient, a tensor
+    with a node on the tape; else a constant."""
+    if not (_TAPE.enabled and _needs(*parents)):
+        return Tensor(data)
+    nodes = tuple(p._node for p in parents)
+    return _Output(data, _Node(nodes, backward, data.shape, data.dtype))
 
 
 def _rectified(data, parents, backward):
@@ -189,9 +248,10 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = _wrap2(a, b)
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(a.data + b.data, (a, b), backward)
 
@@ -211,29 +271,32 @@ def add_n(tensors):
         else:
             total = total + t.data
         if parents is not None:
-            parents.append(t)
+            parents.append(t._node)
         del t  # not held while the next summand is computed
     if total is None:
         raise DimensionError("add_n of no tensors")
-    return _make(total, parents or (), lambda g: (g,) * len(parents))
+    n = len(parents or ())
+    return _make(total, parents or (), lambda g: (g,) * n)
 
 
 def sub(a, b):
     a, b = _wrap2(a, b)
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _make(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b):
     a, b = _wrap2(a, b)
+    x, y = a.data, b.data
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)
 
-    return _make(a.data * b.data, (a, b), backward)
+    return _make(x * y, (a, b), backward)
 
 
 def relu(a):
@@ -255,15 +318,16 @@ def log(a, eps=0.0):
 
 def mean(a):
     a = _wrap(a)
-    n = a.data.size
-    out = np.asarray(a.data.mean(), dtype=a.dtype)
-    return _make(out, (a,), lambda g: (np.full_like(a.data, g / n),))
+    shape, dtype, n = a.shape, a.dtype, a.data.size
+    out = np.asarray(a.data.mean(), dtype=dtype)
+    return _make(out, (a,), lambda g: (np.full(shape, g / n, dtype),))
 
 
 def tsum(a):
     a = _wrap(a)
-    out = np.asarray(a.data.sum(), dtype=a.dtype)
-    return _make(out, (a,), lambda g: (np.full_like(a.data, g),))
+    shape, dtype = a.shape, a.dtype
+    out = np.asarray(a.data.sum(), dtype=dtype)
+    return _make(out, (a,), lambda g: (np.full(shape, g, dtype),))
 
 
 def concat_channels(*tensors):
@@ -287,12 +351,13 @@ def split_channels(a, sizes):
     if sum(sizes) != a.shape[1]:
         raise DimensionError(f"split sizes {sizes} do not sum to {a.shape[1]} channels")
     offsets = np.cumsum([0] + list(sizes))
+    shape, dtype = a.shape, a.dtype
     outs = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         lo, hi = int(lo), int(hi)
 
         def backward(g, lo=lo, hi=hi):
-            full = np.zeros_like(a.data)
+            full = np.zeros(shape, dtype)
             full[:, lo:hi] = g
             return (full,)
 
@@ -321,11 +386,12 @@ def conv2d(x, weight, bias, dilation=1, pads=None, relu=False):
     pass, with the bytes of relu(conv2d(...)) and its gradients."""
     x, weight, bias = _wrap(x), _wrap(weight), _wrap(bias)
     params = ConvParams(weights=weight.data, bias=bias.data, dilation=dilation)
-    out = dilated_conv2d(x.data, params, pads, relu)
+    xd = x.data
+    out = dilated_conv2d(xd, params, pads, relu)
 
     def backward(g):
         # looked up at call time, so a wrapper installed on the module sees it
-        return dilated_conv2d_backward(x.data, params, g, pads)
+        return dilated_conv2d_backward(xd, params, g, pads)
 
     return (_rectified if relu else _make)(out, (x, weight, bias), backward)
 
@@ -336,11 +402,12 @@ def crop(a, top, bottom, left, right):
     a = _wrap(a)
     if not (top or bottom or left or right):
         return a
-    h, w = a.shape[2:]
+    shape, dtype = a.shape, a.dtype
+    h, w = shape[2:]
     box = (slice(None), slice(None), slice(top, h - bottom), slice(left, w - right))
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape, dtype)
         full[box] = g
         return (full,)
 

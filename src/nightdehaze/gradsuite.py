@@ -2,15 +2,17 @@
 
 Every case goes through one checker, `check`: it runs backward once, then
 compares each tensor's largest-magnitude gradient coordinates against central
-differences (step 1e-3) on small float64 fixtures.  One probe per coordinate
+differences on small float64 fixtures.  One probe per coordinate and step
 builds the loss at x + step and x - step; the same two builds give both the
-central difference and the kink test.  A coordinate is used only when its
-+-step interval is kink-free: the constants on the two tapes (targets,
-cotangents and ReLU sign masks, of which only the masks can move) are all
-equal, so no ReLU changes sign inside it.  Used by the `gradcheck` CLI
-subcommand and the acceptance tests; everything must come in under 1e-3 max
-relative error.
+central difference and the kink test.  A coordinate is used at the first
+step of STEPS whose +-step interval is kink-free: the constants on the two
+tapes (targets, cotangents and ReLU sign masks, of which only the masks can
+move) are all equal, so no ReLU changes sign inside it.  Used by the
+`gradcheck` CLI subcommand and the acceptance tests; everything must come in
+under 1e-3 max relative error.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +21,9 @@ from .engine.tensor import walk
 from .networks import DeGlowModel, DeHazeModel, LossConfig, deglow_loss, deglow_steps, dehaze_forward, dehaze_loss
 
 TOLERANCE = 1e-3
-STEP = 1e-3
+# central-difference steps, largest first: a coordinate whose interval
+# crosses a kink at one step is probed again at the next
+STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
 # below this magnitude both gradients count as zero: compared absolutely
 FLOOR = 1e-6
 
@@ -36,15 +40,15 @@ def _constants(root):
     return [node.data for node in walk(root) if not node.requires_grad]
 
 
-def _probe(build_loss, data, i):
-    """(loss at x + STEP, loss at x - STEP, kink-free) for coordinate i of the
+def _probe(build_loss, data, i, step):
+    """(loss at x + step, loss at x - step, kink-free) for coordinate i of the
     float64 array `data`, which build_loss reads; kink-free is True when the
     two tapes hold equal constants, i.e. no ReLU flips sign in between."""
     flat = data.reshape(-1)
     orig = flat[i]
     losses, tapes = [], []
     try:
-        for value in (orig + STEP, orig - STEP):
+        for value in (orig + step, orig - step):
             flat[i] = value
             loss = build_loss()
             losses.append(float(loss.data))
@@ -61,34 +65,57 @@ def _rel_error(analytic, numeric):
     return err / scale if scale > FLOOR else err
 
 
+@dataclass
+class Report:
+    """What one `check` found.  `steps`: for each step of STEPS, the
+    coordinates checked at it and their worst relative error.  `checked`:
+    for each tensor, the coordinates checked, None for one the loss does not
+    use."""
+
+    steps: dict
+    checked: list
+
+    @property
+    def error(self):
+        """The worst relative error at any step, NaN when any is."""
+        return np.max([worst for _, worst in self.steps.values()])
+
+
 def check(build_loss, tensors, max_coords):
-    """Worst relative disagreement between backward and central differences.
+    """Backward against central differences, as a Report.
 
     build_loss() must rebuild the scalar loss from `tensors` (float64,
     requires-grad) on every call.  For each tensor, up to max_coords (an int,
-    or one per tensor) of its largest-|grad| kink-free coordinates are
-    checked; a tensor the loss does not use (grad None) is skipped.  A NaN
-    error on any coordinate makes the result NaN, which fails every
-    tolerance.
+    or one per tensor) of its largest-|grad| coordinates that are kink-free
+    at some step are checked; a tensor the loss does not use (grad None) is
+    skipped.  A NaN error on any coordinate makes the error NaN, which fails
+    every tolerance.
     """
     for t in tensors:
         t.zero_grad()
     build_loss().backward()
-    worst = 0.0
+    steps = dict.fromkeys(STEPS, (0, 0.0))
+    checked = []
     for t, budget in zip(tensors, np.broadcast_to(max_coords, len(tensors))):
         if t.grad is None:
-            continue  # e.g. the feedback gate of a single DeGlow step
+            checked.append(None)  # e.g. the feedback gate of a single DeGlow step
+            continue
         grad = t.grad.reshape(-1)
         used = 0
         for i in np.argsort(-np.abs(t.grad), axis=None, kind="stable"):
             if used == budget:
                 break
-            hi, lo, kink_free = _probe(build_loss, t.data, i)
-            if kink_free:
-                used += 1
-                # np.maximum keeps a NaN where max() would drop it
-                worst = np.maximum(worst, _rel_error(float(grad[i]), (hi - lo) / (2.0 * STEP)))
-    return worst
+            for step in STEPS:
+                hi, lo, kink_free = _probe(build_loss, t.data, i, step)
+                if kink_free:
+                    used += 1
+                    count, worst = steps[step]
+                    err = _rel_error(float(grad[i]), (hi - lo) / (2.0 * step))
+                    # np.maximum keeps a NaN where max() would drop it
+                    steps[step] = count + 1, np.maximum(worst, err)
+                    break
+        checked.append(used)
+    return Report(steps, checked)
 
 
 def _leaves(*arrays):
@@ -102,7 +129,7 @@ def _check_model(build_loss, model, image):
 
 
 def run_gradient_suite(seed=0):
-    """Run every gradient check; returns [(case name, max rel error), ...]."""
+    """Run every gradient check; returns [(case name, Report), ...]."""
     rng = np.random.default_rng(seed)
     results = []
 

@@ -29,23 +29,41 @@ def _huge_page_mode():
     return next((m[1:-1] for m in modes if m.startswith("[")), "unknown")
 
 
-def pytest_report_header(config):
-    """numpy, its bundled OpenBLAS and the core OpenBLAS chose at run time:
-    the byte-exact conv tests hold on some GEMM kernels only; and the
-    transparent huge page mode, on which peak RSS depends."""
+def _openblas_library():
+    """The path of numpy's bundled OpenBLAS, or None."""
     libs_dir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     libs = glob.glob(os.path.join(libs_dir, "libscipy_openblas64_*.so"))
-    core = "unknown"
+    return libs[0] if libs else None
+
+
+def blas_core():
+    """The core numpy's bundled OpenBLAS chose at run time, e.g. "SkylakeX",
+    or "unknown": the byte-exact conv tests hold on some GEMM kernels only."""
+    path = _openblas_library()
+    if path is None:
+        return "unknown"
     try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-        corename.argtypes = []
-        corename.restype = ctypes.c_char_p
-        core = corename().decode()
-    except (IndexError, OSError, AttributeError):
-        pass
-    blas = os.path.basename(libs[0]) if libs else "unknown"
-    thp = _huge_page_mode()
-    return f"numpy {np.__version__}, OpenBLAS {blas}, core {core}, transparent huge pages {thp}"
+        corename = ctypes.CDLL(path).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+# the core that perfbench/references and the pinned digests were made on
+REFERENCE_CORE = "SkylakeX"
+REFERENCE_CORE_REASON = f"byte references made on the OpenBLAS {REFERENCE_CORE} core"
+
+
+def pytest_report_header(config):
+    """numpy, its bundled OpenBLAS and the core it chose at run time; and the
+    transparent huge page mode, on which peak RSS depends."""
+    blas = os.path.basename(_openblas_library() or "unknown")
+    return (
+        f"numpy {np.__version__}, OpenBLAS {blas}, core {blas_core()}, "
+        f"transparent huge pages {_huge_page_mode()}"
+    )
 
 
 @pytest.fixture

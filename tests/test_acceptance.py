@@ -122,7 +122,7 @@ def test_criterion_02_atmospheric_light_estimation():
 
 
 def test_criterion_03_gradient_fidelity():
-    results = run_gradient_suite(seed=0)
+    results = [(name, report.error) for name, report in run_gradient_suite(seed=0)]
     names = " ".join(name for name, _ in results)
     for required in ("DF=1", "DF=2", "DF=3", "relu", "concat", "mse", "bce",
                      "deglow_step", "deglow_loss", "dehaze_loss"):

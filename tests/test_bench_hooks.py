@@ -4,6 +4,10 @@ rename or deletion in the library must fail here, not only in a benchmark run.""
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,8 @@ import pytest
 from nightdehaze.engine import Tensor, add, conv2d, mul, relu, tsum
 from nightdehaze.engine.tensor import walk
 from nightdehaze.networks import DeGlowModel, deglow_loss, deglow_steps
+
+from conftest import REFERENCE_CORE, REFERENCE_CORE_REASON, blas_core
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -105,3 +111,29 @@ def test_benchmark_tape_count_is_the_library_walk(build):
     position = {id(node): i for i, node in enumerate(order)}
     for i, node in enumerate(order):
         assert all(position[id(p)] < i for p in node._parents)
+
+
+TRAINING_PASS = """
+import tempfile
+from workloads import Training
+with tempfile.TemporaryDirectory() as work:
+    bench = Training(work, 0)
+    bench.setup(1)
+    print(bench.op()[3])
+"""
+
+
+@pytest.mark.skipif(blas_core() != REFERENCE_CORE, reason=REFERENCE_CORE_REASON)
+def test_training_pass_matches_the_benchmark_reference():
+    # one training pass of the benchmark's variant 0, run as the references
+    # were made (BLAS pinned to one thread): an engine change that moves a
+    # byte of training fails here, and not only in a benchmark run
+    src = PERFBENCH.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, PERFBENCH))))
+    env.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAINING_PASS], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    refs = json.loads((PERFBENCH / "references" / "refs.json").read_text())
+    assert proc.stdout.split()[-1] == refs["train"]["0"]

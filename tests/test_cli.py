@@ -1,8 +1,11 @@
 import contextlib
 import io
+import os
+import re
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from nightdehaze import cli
 from nightdehaze.config import SECTIONS
 from nightdehaze.engine import load_checkpoint, save_checkpoint
+from nightdehaze.gradsuite import STEPS, Report
 from nightdehaze.imageio import read_ppm, write_ppm
 from nightdehaze.networks import DeGlowModel, DeHazeModel, save_model
 from nightdehaze.synthesis import parse_manifest
@@ -25,7 +29,9 @@ def run_cli(*argv):
 
 @pytest.mark.parametrize("errors", [(1e-4, np.nan, 2e-4), (np.nan, 1e-4), (1e-4, 2e-4)])
 def test_gradcheck_fails_on_any_nan_case(monkeypatch, capsys, errors):
-    results = [(f"case{i}", err) for i, err in enumerate(errors)]
+    results = [
+        (f"case{i}", Report(dict.fromkeys(STEPS, (1, err)), [1])) for i, err in enumerate(errors)
+    ]
     monkeypatch.setattr(cli, "run_gradient_suite", lambda: results)
     ok = not any(np.isnan(errors))
     assert run_cli("gradcheck") == (0 if ok else 1)
@@ -209,6 +215,36 @@ class TestRunRecoverEval:
         assert status == 0
         assert (out / "img0.out.ppm").exists()
         assert (out / "img1.out.ppm").exists()
+
+    def test_threaded_run_prints_whole_lines_in_input_order(
+        self, dataset_dir, checkpoints, tmp_path, capsys, monkeypatch
+    ):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        stems = [f"img{i}" for i in range(6)]
+        for i, stem in enumerate(reversed(stems)):
+            image = read_ppm(dataset_dir / f"rec_00000{i % 2}.observed.ppm")
+            write_ppm(indir / f"{stem}.ppm", image)
+        real_read = cli._read_image
+
+        def read_first_slowly(stage, path):
+            # the first input finishes after the others have started
+            if os.path.basename(path) == "img0.ppm":
+                time.sleep(0.3)
+            return real_read(stage, path)
+
+        monkeypatch.setattr(cli, "_read_image", read_first_slowly)
+        status = run_cli(
+            "run", str(indir), "--out", str(tmp_path / "out"), "--threads", "2",
+            "--checkpoint", f"deglow={checkpoints / 'deglow.nckp'}",
+            "--checkpoint", f"dehaze={checkpoints / 'dehaze.nckp'}",
+        )
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        stages = ("deglow", "dehaze", "atmospheric_light", "recover")
+        timing = " ".join(rf"{stage}=\d+\.\d{{4}}s" for stage in stages)
+        assert [line.split(":")[0] for line in lines] == stems
+        assert all(re.fullmatch(rf"img\d: {timing}", line) for line in lines), lines
 
     def test_missing_checkpoint_exits_one(self, dataset_dir, tmp_path, capsys):
         status = run_cli(
